@@ -16,13 +16,7 @@ from typing import Sequence
 from . import enumeration
 from .evacuation import delta, evacuation_trace
 from .permutations import Permutation
-from .reverse_maps import (
-    is_in_H,
-    is_in_R,
-    phi,
-    satisfies_first_row_property,
-    theta,
-)
+from .reverse_maps import phi, satisfies_first_row_property, theta
 from .rsk import rsk
 from .tableaux import StandardYoungTableau, validate_grid
 
@@ -138,11 +132,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     w = _parse_permutation(args.perm)
     q = rsk(w).q
     q_reverse = rsk(w.reverse()).q
-    in_r = is_in_R(w)
-    in_h = is_in_H(w)
-    symmetric_hook = q.shape.is_symmetric_hook()
+    in_r = q == q_reverse
+    in_h = q.shape.is_symmetric_hook()
     first_row = satisfies_first_row_property(q)
-    characterized = symmetric_hook and first_row
+    characterized = in_h and first_row
     agrees = in_r == characterized
     payload = {
         "permutation": list(w.entries),
@@ -150,7 +143,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         "in_H": in_h,
         "Q": _rows_as_lists(q.rows),
         "Q_of_reverse": _rows_as_lists(q_reverse.rows),
-        "symmetric_hook": symmetric_hook,
+        "symmetric_hook": in_h,
         "first_row_property": first_row,
         "characterization": characterized,
         "agrees": agrees,
@@ -158,7 +151,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     text_lines = [
         f"permutation: {w}",
         f"same recording tableau as reverse (definition): {in_r}",
-        f"symmetric hook recording shape: {symmetric_hook} (in_H: {in_h})",
+        f"symmetric hook recording shape: {in_h} (in_H: {in_h})",
         f"first-row property: {first_row}",
         f"characterization verdict: {characterized}",
         f"definition and characterization agree: {agrees}",
@@ -201,7 +194,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         formula = None
     else:
         count = enumeration.count_M(n, max_n=args.max_n)
-        formula = 2 ** ((n - 1) // 2) if n % 2 == 1 else 0
+        formula = enumeration.count_M_formula(n)
     payload = {"set": which, "n": n, "count": count}
     text = f"|{which}_{n}| = {count}"
     if formula is not None:
@@ -251,13 +244,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             enumeration.verify_characterization(n_max, workers=workers, max_n=args.max_n)
         )
     if suites["symmetry"]:
-        for n in range(1, min(n_max, 7) + 1):
+        for n in range(1, min(n_max, enumeration.SYMMETRY_MAX_N) + 1):
             reports.append(enumeration.verify_symmetry_relations(n, workers=workers))
     if suites["phi_theta"]:
-        for n in range(1, min(n_max, 6) + 1):
+        for n in range(1, min(n_max, enumeration.PHI_THETA_MAX_N) + 1):
             reports.append(enumeration.verify_phi_theta(n, workers=workers))
     if suites["transport"]:
-        for n in range(1, min(n_max - 2, 7) + 1):
+        for n in range(1, min(n_max - 2, enumeration.TRANSPORT_MAX_N) + 1):
             reports.append(
                 enumeration.verify_R_transport(n, workers=workers, max_n=args.max_n)
             )

@@ -1,41 +1,44 @@
 """Exhaustive sweeps over symmetric groups and tableau families: set
 counts, memberships, and machine-readable verification reports.
 
-Work is split into contiguous lexicographic rank intervals; each worker
-process scans its interval with the definitional predicates and results
-merge by pure summation/conjunction, so every count and verdict is
-independent of the worker count.
+Every sweep runs on one core, `_sweep`: it unranks the start of a
+contiguous lexicographic rank interval, advances with `next_permutation`,
+and calls one predicate per permutation, on the word and its reverse. A
+membership predicate (R or H) collects the members it accepts; a check
+returns its first failure, and the scan of that interval stops there.
+Intervals are split across worker processes and their results are
+concatenated in rank order, so every count, member list and first
+failure is independent of the worker count.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from math import comb, factorial
 from pathlib import Path
 from typing import Callable, Literal
 
 from .evacuation import evacuation
 from .permutations import Permutation, next_permutation, unrank
-from .reverse_maps import (
-    is_in_M,
-    phi,
-    satisfies_first_row_property,
-    theta,
-)
+from .reverse_maps import is_in_M, phi, satisfies_first_row_property, theta
 from .rsk import recording_cells, rsk, same_recording_tableau
 from .tableaux import Shape, StandardYoungTableau, enumerate_syt
 
 __all__ = [
     "DEFAULT_MAX_COUNT_N",
     "DEFAULT_MAX_LIST_N",
+    "PHI_THETA_MAX_N",
+    "SYMMETRY_MAX_N",
     "SetName",
+    "TRANSPORT_MAX_N",
     "VerificationReport",
     "append_reports",
     "count_H",
     "count_M",
+    "count_M_formula",
     "count_R",
     "count_R_formula",
     "list_set",
@@ -49,6 +52,13 @@ __all__ = [
 
 DEFAULT_MAX_COUNT_N = 11
 DEFAULT_MAX_LIST_N = 8
+
+# Largest sizes of the per-size suites: the symmetry relations and the
+# phi/theta sources are checked up to a fixed size; transport sources stop
+# at TRANSPORT_MAX_N or two below the sweep bound, whichever is smaller.
+SYMMETRY_MAX_N = 7
+PHI_THETA_MAX_N = 6
+TRANSPORT_MAX_N = 7
 
 SetName = Literal["R", "H", "M"]
 
@@ -101,6 +111,16 @@ def count_R_formula(n: int) -> int:
     return 2**half * comb(n - 1, half)
 
 
+def count_M_formula(n: int) -> int:
+    """Closed form for the symmetric-hook tableaux fixed by
+    evacuation-transpose: 2^((n-1)/2) for odd n, 0 for even n."""
+    if n < 1:
+        raise ValueError(f"size must be positive, got {n}")
+    if n % 2 == 0:
+        return 0
+    return 2 ** ((n - 1) // 2)
+
+
 def symmetric_hook_shape(n: int) -> Shape:
     """The unique self-conjugate hook of odd size n: ((n+1)/2, 1^((n-1)/2))."""
     if n < 1 or n % 2 == 0:
@@ -126,106 +146,78 @@ def _run_over_ranks(worker: Callable, n: int, workers: int) -> list:
     argses = [(n, lo, hi) for lo, hi in _chunk_ranks(total, workers)]
     if workers <= 1 or len(argses) == 1:
         return [worker(args) for args in argses]
+    # Imported here so that commands which never sweep in parallel do not
+    # pay for loading the process pool.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, argses))
 
 
-def _scan_count_r(args: tuple[int, int, int]) -> int:
+def _sweep(test: str, first_only: bool, args: tuple[int, int, int]) -> list:
+    """Scan ranks [start, stop) of S_n, calling the predicate named `test`
+    once per permutation on the word and its reverse.
+
+    Truthy results are collected in rank order: the word itself (as a
+    tuple) for True, anything else as returned. With first_only the scan
+    stops at its first truthy result. The predicate is looked up in this
+    module's globals when the scan starts, so a replacement installed
+    there reaches the scans run by pool workers too.
+    """
     n, start, stop = args
-    same = same_recording_tableau
-    advance = next_permutation
+    predicate = globals()[test]
     w = list(unrank(n, start).entries)
-    count = 0
+    found = []
     for _ in range(stop - start):
-        if same(w, w[::-1]):
-            count += 1
-        advance(w)
-    return count
+        result = predicate(w, w[::-1])
+        if result:
+            found.append(tuple(w) if result is True else result)
+            if first_only:
+                break
+        next_permutation(w)
+    return found
 
 
-def _scan_count_h(args: tuple[int, int, int]) -> int:
-    n, start, stop = args
-    advance = next_permutation
-    w = list(unrank(n, start).entries)
-    count = 0
-    for _ in range(stop - start):
-        lengths = _recording_row_lengths(w)
-        if Shape(lengths).is_symmetric_hook():
-            count += 1
-        advance(w)
-    return count
+def _collect(test: str, n: int, workers: int) -> list:
+    """Every truthy result of the named predicate over S_n, in rank order."""
+    chunks = _run_over_ranks(partial(_sweep, test, False), n, workers)
+    return [found for chunk in chunks for found in chunk]
 
 
-def _recording_row_lengths(values: list[int]) -> list[int]:
-    lengths: list[int] = []
-    for cell in recording_cells(values):
-        if cell.row > len(lengths):
-            lengths.append(1)
+def _first_failure(check: str, n: int, workers: int) -> str | None:
+    """The first failure of the named check over S_n in rank order."""
+    for chunk in _run_over_ranks(partial(_sweep, check, True), n, workers):
+        if chunk:
+            return chunk[0]
+    return None
+
+
+def _recording_rows(word: list[int]) -> list[list[int]]:
+    rows: list[list[int]] = []
+    for step, cell in enumerate(recording_cells(word), start=1):
+        if cell.row > len(rows):
+            rows.append([step])
         else:
-            lengths[cell.row - 1] += 1
-    return lengths
+            rows[cell.row - 1].append(step)
+    return rows
 
 
-def _scan_list_r(args: tuple[int, int, int]) -> list[tuple[int, ...]]:
-    n, start, stop = args
-    w = list(unrank(n, start).entries)
-    members = []
-    for _ in range(stop - start):
-        if same_recording_tableau(w, w[::-1]):
-            members.append(tuple(w))
-        next_permutation(w)
-    return members
+def _in_H(word: list[int], reverse: list[int]) -> bool:
+    return Shape(map(len, _recording_rows(word))).is_symmetric_hook()
 
 
-def _scan_list_h(args: tuple[int, int, int]) -> list[tuple[int, ...]]:
-    n, start, stop = args
-    w = list(unrank(n, start).entries)
-    members = []
-    for _ in range(stop - start):
-        if Shape(_recording_row_lengths(w)).is_symmetric_hook():
-            members.append(tuple(w))
-        next_permutation(w)
-    return members
+def _characterization_failure(word: list[int], reverse: list[int]) -> str | None:
+    q = StandardYoungTableau(_recording_rows(word))
+    characterized = q.shape.is_symmetric_hook() and satisfies_first_row_property(q)
+    if same_recording_tableau(word, reverse) != characterized:
+        return "first counterexample: " + " ".join(map(str, word))
+    return None
 
 
-def _scan_characterization(args: tuple[int, int, int]) -> tuple[int, str | None]:
-    n, start, stop = args
-    w = list(unrank(n, start).entries)
-    failures = 0
-    first: str | None = None
-    for _ in range(stop - start):
-        cells = recording_cells(w)
-        q_rows: list[list[int]] = []
-        for step, cell in enumerate(cells, start=1):
-            if cell.row > len(q_rows):
-                q_rows.append([step])
-            else:
-                q_rows[cell.row - 1].append(step)
-        q = StandardYoungTableau(q_rows)
-        characterized = q.shape.is_symmetric_hook() and satisfies_first_row_property(q)
-        definitional = same_recording_tableau(w, w[::-1])
-        if definitional != characterized:
-            failures += 1
-            if first is None:
-                first = " ".join(map(str, w))
-        next_permutation(w)
-    return failures, first
-
-
-def _scan_symmetry(args: tuple[int, int, int]) -> tuple[bool, str | None]:
-    n, start, stop = args
-    w = list(unrank(n, start).entries)
-    for _ in range(stop - start):
-        failure = _relations_failure(Permutation(w))
-        if failure is not None:
-            return False, failure
-        next_permutation(w)
-    return True, None
-
-
-def _relations_failure(w: Permutation) -> str | None:
+def _relations_failure(word: list[int], reverse: list[int]) -> str | None:
     """Check the eight tableau-pair identities tying a permutation's
     reverse, complement, and inverse to transposes and evacuations."""
+    w = Permutation(word)
     pair = rsk(w)
     p, q = pair.p, pair.q
     ep, eq = evacuation(p), evacuation(q)
@@ -249,67 +241,30 @@ def _relations_failure(w: Permutation) -> str | None:
     return None
 
 
-def _scan_phi_sources(
-    args: tuple[int, int, int]
-) -> tuple[bool, str | None, set[tuple[int, ...]]]:
-    n, start, stop = args
-    m = n + 2
-    images: set[tuple[int, ...]] = set()
-    ok = True
-    detail: str | None = None
-    w_list = list(unrank(n, start).entries)
-    for _ in range(stop - start):
-        w = Permutation(w_list)
-        for a in range(1, m + 1):
-            for b in range(1, m + 1):
-                if a == b:
-                    continue
-                lifted = phi(w, a, b)
-                images.add(lifted.entries)
-                if theta(lifted) != w:
-                    ok = False
-                    if detail is None:
-                        detail = f"projection fails to undo lift ({a},{b}) of {w}"
-        next_permutation(w_list)
-    return ok, detail, images
+def _phi_lifts(word: list[int], reverse: list[int]) -> str | list[tuple[int, ...]]:
+    """The entries of every lift of a permutation two sizes up, or the
+    first lift that projection fails to undo."""
+    w = Permutation(word)
+    m = w.n + 2
+    images = []
+    for a in range(1, m + 1):
+        for b in range(1, m + 1):
+            if a == b:
+                continue
+            lifted = phi(w, a, b)
+            if theta(lifted) != w:
+                return f"projection fails to undo lift ({a},{b}) of {w}"
+            images.append(lifted.entries)
+    return images
 
 
-def _scan_theta_equivariance(args: tuple[int, int, int]) -> tuple[bool, str | None]:
-    m, start, stop = args
-    w_list = list(unrank(m, start).entries)
-    for _ in range(stop - start):
-        v = Permutation(w_list)
-        if theta(v.reverse()) != theta(v).reverse():
-            return False, f"projection does not commute with reverse on {v}"
-        if theta(v.complement()) != theta(v).complement():
-            return False, f"projection does not commute with complement on {v}"
-        next_permutation(w_list)
-    return True, None
-
-
-def _scan_transport(args: tuple[int, int, int]) -> tuple[bool, str | None, int]:
-    m, start, stop = args
-    w_list = list(unrank(m, start).entries)
-    members = 0
-    ok = True
-    detail: str | None = None
-    for _ in range(stop - start):
-        if same_recording_tableau(w_list, w_list[::-1]):
-            members += 1
-            v = Permutation(w_list)
-            projected = theta(v)
-            if not same_recording_tableau(
-                projected.entries, projected.entries[::-1]
-            ):
-                ok = False
-                if detail is None:
-                    detail = f"projection of {v} leaves the reverse-stable set"
-            elif phi(projected, v.entries[0], v.entries[-1]) != v:
-                ok = False
-                if detail is None:
-                    detail = f"endpoint lift does not reassemble {v}"
-        next_permutation(w_list)
-    return ok, detail, members
+def _theta_equivariance_failure(word: list[int], reverse: list[int]) -> str | None:
+    v = Permutation(word)
+    if theta(v.reverse()) != theta(v).reverse():
+        return f"projection does not commute with reverse on {v}"
+    if theta(v.complement()) != theta(v).complement():
+        return f"projection does not commute with complement on {v}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -325,14 +280,14 @@ def count_R(n: int, *, workers: int = 1, max_n: int = DEFAULT_MAX_COUNT_N) -> in
     """Brute-force count of permutations sharing a recording tableau with
     their reverse."""
     _check_count_range(n, max_n)
-    return sum(_run_over_ranks(_scan_count_r, n, workers))
+    return len(_collect("same_recording_tableau", n, workers))
 
 
 def count_H(n: int, *, workers: int = 1, max_n: int = DEFAULT_MAX_COUNT_N) -> int:
     """Brute-force count of permutations whose recording tableau has
     symmetric hook shape."""
     _check_count_range(n, max_n)
-    return sum(_run_over_ranks(_scan_count_h, n, workers))
+    return len(_collect("_in_H", n, workers))
 
 
 def count_M(n: int, *, max_n: int = DEFAULT_MAX_COUNT_N) -> int:
@@ -373,15 +328,45 @@ def list_set(
         raise ValueError(
             f"listing is capped at n={list_max} (counting is still allowed)"
         )
-    scan = _scan_list_r if which == "R" else _scan_list_h
-    members: list[Permutation] = []
-    for chunk in _run_over_ranks(scan, n, workers):
-        members.extend(Permutation(entries) for entries in chunk)
-    return members
+    test = "same_recording_tableau" if which == "R" else "_in_H"
+    return [Permutation(entries) for entries in _collect(test, n, workers)]
 
 
 # ---------------------------------------------------------------------------
 # verification sweeps
+
+
+def _report(
+    check: str,
+    n: int,
+    workers: int,
+    measure: Callable[[], tuple[int | bool, str | None]],
+    formula: int | None = None,
+) -> VerificationReport:
+    """Time one claim and report it.
+
+    measure returns the observed value and a detail line. A claim with a
+    closed form passes when the observed count equals it; any other claim
+    passes when it observes True.
+    """
+    started = time.perf_counter()
+    observed, detail = measure()
+    expected = True if formula is None else formula
+    return VerificationReport(
+        check=check,
+        n=n,
+        observed=observed,
+        expected=expected,
+        formula=formula,
+        passed=observed == expected,
+        elapsed_ms=int((time.perf_counter() - started) * 1000),
+        workers=workers,
+        detail=detail,
+    )
+
+
+def _holds(failure: str | None) -> tuple[bool, str | None]:
+    return failure is None, failure
 
 
 def verify_count_theorem(
@@ -390,24 +375,16 @@ def verify_count_theorem(
     """Compare the brute-force reverse-stable count with its closed form
     for every size up to n_max."""
     _check_count_range(n_max, max_n)
-    reports = []
-    for n in range(1, n_max + 1):
-        started = time.perf_counter()
-        observed = count_R(n, workers=workers, max_n=max_n)
-        formula = count_R_formula(n)
-        reports.append(
-            VerificationReport(
-                check="count_R",
-                n=n,
-                observed=observed,
-                expected=formula,
-                formula=formula,
-                passed=observed == formula,
-                elapsed_ms=int((time.perf_counter() - started) * 1000),
-                workers=workers,
-            )
+    return [
+        _report(
+            "count_R",
+            n,
+            workers,
+            lambda: (count_R(n, workers=workers, max_n=max_n), None),
+            formula=count_R_formula(n),
         )
-    return reports
+        for n in range(1, n_max + 1)
+    ]
 
 
 def verify_characterization(
@@ -417,55 +394,27 @@ def verify_characterization(
     reverse-stability test agrees with the symmetric-hook plus first-row
     characterization of the recording tableau."""
     _check_count_range(n_max, max_n)
-    reports = []
-    for n in range(1, n_max + 1):
-        started = time.perf_counter()
-        failures = 0
-        first: str | None = None
-        for chunk_failures, chunk_first in _run_over_ranks(
-            _scan_characterization, n, workers
-        ):
-            failures += chunk_failures
-            if first is None:
-                first = chunk_first
-        reports.append(
-            VerificationReport(
-                check="characterization",
-                n=n,
-                observed=failures == 0,
-                expected=True,
-                formula=None,
-                passed=failures == 0,
-                elapsed_ms=int((time.perf_counter() - started) * 1000),
-                workers=workers,
-                detail=None if first is None else f"first counterexample: {first}",
-            )
+    return [
+        _report(
+            "characterization",
+            n,
+            workers,
+            lambda: _holds(_first_failure("_characterization_failure", n, workers)),
         )
-    return reports
+        for n in range(1, n_max + 1)
+    ]
 
 
 def verify_symmetry_relations(n: int, *, workers: int = 1) -> VerificationReport:
     """Check the eight tableau-pair identities for every permutation of
     size n."""
-    if not 1 <= n <= 7:
-        raise ValueError(f"n={n} outside the supported range [1, 7]")
-    started = time.perf_counter()
-    ok = True
-    detail: str | None = None
-    for chunk_ok, chunk_detail in _run_over_ranks(_scan_symmetry, n, workers):
-        if not chunk_ok and detail is None:
-            detail = chunk_detail
-        ok = ok and chunk_ok
-    return VerificationReport(
-        check="symmetry_relations",
-        n=n,
-        observed=ok,
-        expected=True,
-        formula=None,
-        passed=ok,
-        elapsed_ms=int((time.perf_counter() - started) * 1000),
-        workers=workers,
-        detail=detail,
+    if not 1 <= n <= SYMMETRY_MAX_N:
+        raise ValueError(f"n={n} outside the supported range [1, {SYMMETRY_MAX_N}]")
+    return _report(
+        "symmetry_relations",
+        n,
+        workers,
+        lambda: _holds(_first_failure("_relations_failure", n, workers)),
     )
 
 
@@ -473,43 +422,20 @@ def verify_phi_theta(n: int, *, workers: int = 1) -> VerificationReport:
     """Check that projection undoes every lift of every size-n permutation,
     that the lift images tile the symmetric group two sizes up exactly, and
     that projection commutes with reverse and complement there."""
-    if not 1 <= n <= 6:
-        raise ValueError(f"n={n} outside the supported range [1, 6]")
-    started = time.perf_counter()
-    ok = True
-    detail: str | None = None
-    images: set[tuple[int, ...]] = set()
-    for chunk_ok, chunk_detail, chunk_images in _run_over_ranks(
-        _scan_phi_sources, n, workers
-    ):
-        if not chunk_ok and detail is None:
-            detail = chunk_detail
-        ok = ok and chunk_ok
-        images |= chunk_images
-    expected_images = factorial(n + 2)
-    if len(images) != expected_images:
-        ok = False
-        if detail is None:
-            detail = (
-                f"lift images cover {len(images)} of {expected_images} permutations"
-            )
-    for chunk_ok, chunk_detail in _run_over_ranks(
-        _scan_theta_equivariance, n + 2, workers
-    ):
-        if not chunk_ok and detail is None:
-            detail = chunk_detail
-        ok = ok and chunk_ok
-    return VerificationReport(
-        check="phi_theta",
-        n=n,
-        observed=ok,
-        expected=True,
-        formula=None,
-        passed=ok,
-        elapsed_ms=int((time.perf_counter() - started) * 1000),
-        workers=workers,
-        detail=detail,
-    )
+    if not 1 <= n <= PHI_THETA_MAX_N:
+        raise ValueError(f"n={n} outside the supported range [1, {PHI_THETA_MAX_N}]")
+
+    def first_failure() -> str | None:
+        images: set[tuple[int, ...]] = set()
+        for lifts in _collect("_phi_lifts", n, workers):
+            if isinstance(lifts, str):
+                return lifts
+            images.update(lifts)
+        if len(images) != factorial(n + 2):
+            return f"lift images cover {len(images)} of {factorial(n + 2)} permutations"
+        return _first_failure("_theta_equivariance_failure", n + 2, workers)
+
+    return _report("phi_theta", n, workers, lambda: _holds(first_failure()))
 
 
 def verify_R_transport(
@@ -521,25 +447,16 @@ def verify_R_transport(
     if n < 1:
         raise ValueError(f"size must be positive, got {n}")
     _check_count_range(n + 2, max_n)
-    started = time.perf_counter()
-    ok = True
-    detail: str | None = None
-    members = 0
-    for chunk_ok, chunk_detail, chunk_members in _run_over_ranks(
-        _scan_transport, n + 2, workers
-    ):
-        if not chunk_ok and detail is None:
-            detail = chunk_detail
-        ok = ok and chunk_ok
-        members += chunk_members
-    return VerificationReport(
-        check="r_transport",
-        n=n,
-        observed=ok,
-        expected=True,
-        formula=None,
-        passed=ok,
-        elapsed_ms=int((time.perf_counter() - started) * 1000),
-        workers=workers,
-        detail=f"checked {members} members" if ok else detail,
-    )
+
+    def measure() -> tuple[bool, str]:
+        members = _collect("same_recording_tableau", n + 2, workers)
+        for entries in members:
+            v = Permutation(entries)
+            projected = theta(v)
+            if not same_recording_tableau(projected.entries, projected.entries[::-1]):
+                return False, f"projection of {v} leaves the reverse-stable set"
+            if phi(projected, v.entries[0], v.entries[-1]) != v:
+                return False, f"endpoint lift does not reassemble {v}"
+        return True, f"checked {len(members)} members"
+
+    return _report("r_transport", n, workers, measure)

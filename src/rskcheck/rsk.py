@@ -93,40 +93,23 @@ def row_insert(
     append. The bump path lists one cell per row visited, the last being
     the new cell.
     """
-    rows = [list(row) for row in validate_grid(grid)]
+    before = validate_grid(grid)
     if not isinstance(x, int) or isinstance(x, bool) or x < 1:
         raise ValueError(f"inserted value must be a positive integer, got {x!r}")
-    if any(x in row for row in rows):
+    if any(x in row for row in before):
         raise ValueError(f"value {x} already present in the grid")
-
-    path: list[Cell] = []
-    r = 0
-    val = x
-    while True:
-        if r == len(rows):
-            rows.append([val])
-            new_cell = Cell(r + 1, 1)
-            path.append(new_cell)
-            break
-        row = rows[r]
-        if linear_scan:
-            idx = 0
-            while idx < len(row) and row[idx] < val:
-                idx += 1
-        else:
-            idx = bisect_left(row, val)
-        if idx == len(row):
-            row.append(val)
-            new_cell = Cell(r + 1, idx + 1)
-            path.append(new_cell)
-            break
-        path.append(Cell(r + 1, idx + 1))
-        row[idx], val = val, row[idx]
-        r += 1
+    rows = [list(row) for row in before]
+    r, c = _insert(rows, x, linear_scan)
+    new_cell = Cell(r + 1, c + 1)
+    # Each row above the new cell had exactly one entry bumped out of it.
+    path = [
+        Cell(i + 1, [a == b for a, b in zip(old, new)].index(False) + 1)
+        for i, (old, new) in enumerate(zip(before, rows[:r]))
+    ]
     return InsertionOutcome(
         rows=tuple(tuple(row) for row in rows),
         new_cell=new_cell,
-        bump_path=tuple(path),
+        bump_path=(*path, new_cell),
     )
 
 

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import rskcheck
 from rskcheck import cli, enumeration
 
 
@@ -242,6 +245,27 @@ class TestVerifyCommand:
         assert "FAIL" in out
 
 
+    def test_suite_caps_come_from_the_library(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(enumeration, "SYMMETRY_MAX_N", 2)
+        monkeypatch.setattr(enumeration, "PHI_THETA_MAX_N", 1)
+        monkeypatch.setattr(enumeration, "TRANSPORT_MAX_N", 3)
+        out_file = tmp_path / "reports.jsonl"
+        code, out, _ = run_cli(
+            capsys,
+            "verify", "--symmetry", "--phi-theta", "--transport",
+            "--n-max", "9", "--json", "--out", str(out_file),
+        )
+        assert code == 0
+        assert [(r["check"], r["n"]) for r in map(json.loads, out.splitlines())] == [
+            ("symmetry_relations", 1),
+            ("symmetry_relations", 2),
+            ("phi_theta", 1),
+            ("r_transport", 1),
+            ("r_transport", 2),
+            ("r_transport", 3),
+        ]
+
+
 class TestErrorPaths:
     def test_malformed_permutation_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "rsk", "1", "1", "2")
@@ -290,6 +314,23 @@ class TestModuleEntryPoint:
         )
         assert result.returncode == 0
         assert result.stdout == '{"P":[[1,3,4],[2],[5]],"Q":[[1,3,5],[2],[4]]}\n'
+
+    def test_import_does_not_load_the_process_pool(self):
+        package_root = Path(rskcheck.__file__).resolve().parent.parent
+        result = subprocess.run(
+            [
+                sys.executable,
+                "-S",
+                "-c",
+                "import rskcheck.cli, sys; "
+                "print('concurrent.futures.process' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(package_root)},
+        )
+        assert result.returncode == 0
+        assert result.stdout == "False\n"
 
     def test_console_script(self):
         result = subprocess.run(

@@ -7,6 +7,7 @@ from rskcheck.enumeration import (
     append_reports,
     count_H,
     count_M,
+    count_M_formula,
     count_R,
     count_R_formula,
     list_set,
@@ -41,6 +42,21 @@ class TestFormula:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             count_R_formula(0)
+
+
+class TestCountMFormula:
+    def test_values(self):
+        assert [count_M_formula(n) for n in range(1, 12)] == [
+            1, 0, 2, 0, 4, 0, 8, 0, 16, 0, 32,
+        ]
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_matches_brute_force(self, n):
+        assert count_M(n) == count_M_formula(n)
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError, match="size must be positive"):
+            count_M_formula(0)
 
 
 class TestSymmetricHookShape:

@@ -1,0 +1,133 @@
+"""Every verification suite can fail.
+
+Each test plants a bug in one dependency, as `rskcheck.enumeration` sees
+it, and checks that the suite reports the failure with the exact detail
+line it has always given. Running each case at one and at two workers
+pins the rule that the first failure in rank order is the one reported.
+"""
+
+import pytest
+
+from rskcheck import cli, enumeration
+from rskcheck.permutations import Permutation
+
+real_phi = enumeration.phi
+real_same_recording_tableau = enumeration.same_recording_tableau
+real_theta = enumeration.theta
+
+WORKERS = pytest.mark.parametrize("workers", [1, 2])
+
+
+def failures(reports):
+    return [(r.n, r.observed, r.detail) for r in reports if not r.passed]
+
+
+def lockstep_one_step_short(u, v):
+    """Compares every recording step but the last."""
+    return real_same_recording_tableau(list(u)[:-1], list(v)[:-1])
+
+
+def theta_reversed(w):
+    return real_theta(w).reverse()
+
+
+def theta_identity(w):
+    """Forgets the interior order: always the identity two sizes down."""
+    return Permutation(range(1, w.n - 1))
+
+
+def phi_fixed_endpoints(w, a, b):
+    """Ignores the requested endpoints and always lifts with (1, n+2)."""
+    return real_phi(w, 1, w.n + 2)
+
+
+@WORKERS
+def test_count_fails_on_short_lockstep(monkeypatch, workers):
+    monkeypatch.setattr(enumeration, "same_recording_tableau", lockstep_one_step_short)
+    reports = enumeration.verify_count_theorem(4, workers=workers)
+    assert failures(reports) == [(2, 2, None)]
+
+
+def test_count_failure_reaches_the_cli(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(enumeration, "same_recording_tableau", lockstep_one_step_short)
+    out_file = tmp_path / "reports.jsonl"
+    code = cli.main(
+        ["verify", "--count", "--n-max", "3", "--workers", "2", "--out", str(out_file)]
+    )
+    out = capsys.readouterr().out
+    assert code == 1
+    assert [line.split()[:3] for line in out.splitlines()] == [
+        ["PASS", "count_R", "n=1"],
+        ["FAIL", "count_R", "n=2"],
+        ["PASS", "count_R", "n=3"],
+    ]
+
+
+@WORKERS
+def test_characterization_fails_without_first_row_property(monkeypatch, workers):
+    monkeypatch.setattr(enumeration, "satisfies_first_row_property", lambda t: False)
+    reports = enumeration.verify_characterization(5, workers=workers)
+    assert failures(reports) == [
+        (1, False, "first counterexample: 1"),
+        (3, False, "first counterexample: 1 3 2"),
+        (5, False, "first counterexample: 1 2 5 4 3"),
+    ]
+
+
+@WORKERS
+def test_characterization_fails_with_trivial_first_row_property(monkeypatch, workers):
+    monkeypatch.setattr(enumeration, "satisfies_first_row_property", lambda t: True)
+    reports = enumeration.verify_characterization(5, workers=workers)
+    assert failures(reports) == [(5, False, "first counterexample: 1 4 3 2 5")]
+
+
+@WORKERS
+def test_symmetry_fails_with_identity_evacuation(monkeypatch, workers):
+    monkeypatch.setattr(enumeration, "evacuation", lambda t: t)
+    reports = [
+        enumeration.verify_symmetry_relations(n, workers=workers) for n in range(1, 6)
+    ]
+    assert failures(reports) == [
+        (3, False, "complement relation fails for 1 3 2"),
+        (4, False, "complement relation fails for 1 2 4 3"),
+        (5, False, "complement relation fails for 1 2 3 5 4"),
+    ]
+
+
+@WORKERS
+def test_phi_theta_fails_when_projection_misses(monkeypatch, workers):
+    monkeypatch.setattr(enumeration, "theta", theta_reversed)
+    reports = [enumeration.verify_phi_theta(n, workers=workers) for n in range(1, 4)]
+    assert failures(reports) == [
+        (2, False, "projection fails to undo lift (1,2) of 1 2"),
+        (3, False, "projection fails to undo lift (1,2) of 1 2 3"),
+    ]
+
+
+@WORKERS
+def test_phi_theta_fails_when_lifts_collide(monkeypatch, workers):
+    monkeypatch.setattr(enumeration, "phi", phi_fixed_endpoints)
+    reports = [enumeration.verify_phi_theta(n, workers=workers) for n in range(1, 4)]
+    assert failures(reports) == [
+        (1, False, "lift images cover 1 of 6 permutations"),
+        (2, False, "lift images cover 2 of 24 permutations"),
+        (3, False, "lift images cover 6 of 120 permutations"),
+    ]
+
+
+@WORKERS
+def test_transport_fails_when_lift_does_not_reassemble(monkeypatch, workers):
+    monkeypatch.setattr(enumeration, "theta", theta_reversed)
+    reports = [enumeration.verify_R_transport(n, workers=workers) for n in range(1, 5)]
+    assert failures(reports) == [
+        (3, False, "endpoint lift does not reassemble 1 2 5 4 3"),
+    ]
+
+
+@WORKERS
+def test_transport_fails_when_projection_leaves_R(monkeypatch, workers):
+    monkeypatch.setattr(enumeration, "theta", theta_identity)
+    reports = [enumeration.verify_R_transport(n, workers=workers) for n in range(1, 5)]
+    assert failures(reports) == [
+        (3, False, "projection of 1 2 5 4 3 leaves the reverse-stable set"),
+    ]

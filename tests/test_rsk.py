@@ -105,6 +105,18 @@ class TestRowInsert:
                 assert out.bump_path[-1] == out.new_cell
                 grid = out.rows
 
+    def test_bump_path_carries_each_bumped_value_down(self):
+        for w in iterate_sn(5):
+            grid = ()
+            for x in w.entries:
+                out = row_insert(grid, x)
+                carried = x
+                for cell in out.bump_path:
+                    assert out.rows[cell.row - 1][cell.col - 1] == carried
+                    if cell != out.new_cell:
+                        carried = grid[cell.row - 1][cell.col - 1]
+                grid = out.rows
+
     def test_linear_scan_agrees(self):
         for grid, x in [([[5]], 2), ([[2, 3], [5]], 1), ([[1, 3], [2], [5]], 4)]:
             assert row_insert(grid, x) == row_insert(grid, x, linear_scan=True)
