@@ -18,7 +18,7 @@ from .evacuation import delta, evacuation_trace
 from .permutations import Permutation
 from .reverse_maps import phi, satisfies_first_row_property, theta
 from .rsk import rsk
-from .tableaux import StandardYoungTableau, validate_grid
+from .tableaux import StandardYoungTableau
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -102,8 +102,7 @@ def _cmd_evac(args: argparse.Namespace) -> int:
 
 
 def _cmd_delta(args: argparse.Namespace) -> int:
-    grid = validate_grid(_read_tableau_source(args.tableau))
-    result, vacated = delta(grid)
+    result, vacated = delta(_read_tableau_source(args.tableau))
     payload = {
         "result": _rows_as_lists(result),
         "vacated_cell": [vacated.row, vacated.col],

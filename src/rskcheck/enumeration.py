@@ -14,8 +14,9 @@ failure is independent of the worker count.
 from __future__ import annotations
 
 import json
+import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from math import comb, factorial
 from pathlib import Path
@@ -24,7 +25,7 @@ from typing import Callable, Literal
 from .evacuation import evacuation
 from .permutations import Permutation, next_permutation, unrank
 from .reverse_maps import is_in_M, phi, satisfies_first_row_property, theta
-from .rsk import recording_cells, rsk, same_recording_tableau
+from .rsk import _schensted, rsk, same_recording_tableau
 from .tableaux import Shape, StandardYoungTableau, enumerate_syt
 
 __all__ = [
@@ -78,16 +79,10 @@ class VerificationReport:
     detail: str | None = None  # diagnostics only; not part of the JSON schema
 
     def as_dict(self) -> dict[str, object]:
-        return {
-            "check": self.check,
-            "n": self.n,
-            "observed": self.observed,
-            "expected": self.expected,
-            "formula": self.formula,
-            "passed": self.passed,
-            "elapsed_ms": self.elapsed_ms,
-            "workers": self.workers,
-        }
+        """Every field but detail, in declaration order."""
+        payload = asdict(self)
+        del payload["detail"]
+        return payload
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), separators=(",", ":"))
@@ -133,7 +128,7 @@ def symmetric_hook_shape(n: int) -> Shape:
 
 
 def _chunk_ranks(total: int, workers: int) -> list[tuple[int, int]]:
-    pieces = max(1, min(workers, total))
+    pieces = min(workers, total)
     base, extra = divmod(total, pieces)
     bounds = [0]
     for i in range(pieces):
@@ -142,15 +137,18 @@ def _chunk_ranks(total: int, workers: int) -> list[tuple[int, int]]:
 
 
 def _run_over_ranks(worker: Callable, n: int, workers: int) -> list:
-    total = factorial(n)
-    argses = [(n, lo, hi) for lo, hi in _chunk_ranks(total, workers)]
-    if workers <= 1 or len(argses) == 1:
-        return [worker(args) for args in argses]
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    argses = [(n, lo, hi) for lo, hi in _chunk_ranks(factorial(n), workers)]
+    if len(argses) == 1:
+        return [worker(argses[0])]
     # Imported here so that commands which never sweep in parallel do not
     # pay for loading the process pool.
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # The chunks, and so every result, follow the requested worker count;
+    # the pool never holds more processes than there are chunks or CPUs.
+    with ProcessPoolExecutor(max_workers=min(len(argses), os.cpu_count() or 1)) as pool:
         return list(pool.map(worker, argses))
 
 
@@ -192,22 +190,14 @@ def _first_failure(check: str, n: int, workers: int) -> str | None:
     return None
 
 
-def _recording_rows(word: list[int]) -> list[list[int]]:
-    rows: list[list[int]] = []
-    for step, cell in enumerate(recording_cells(word), start=1):
-        if cell.row > len(rows):
-            rows.append([step])
-        else:
-            rows[cell.row - 1].append(step)
-    return rows
-
-
 def _in_H(word: list[int], reverse: list[int]) -> bool:
-    return Shape(map(len, _recording_rows(word))).is_symmetric_hook()
+    _, q_rows = _schensted(word)
+    return Shape._trusted(tuple(map(len, q_rows))).is_symmetric_hook()
 
 
 def _characterization_failure(word: list[int], reverse: list[int]) -> str | None:
-    q = StandardYoungTableau(_recording_rows(word))
+    _, q_rows = _schensted(word)
+    q = StandardYoungTableau._trusted(tuple(map(tuple, q_rows)))
     characterized = q.shape.is_symmetric_hook() and satisfies_first_row_property(q)
     if same_recording_tableau(word, reverse) != characterized:
         return "first counterexample: " + " ".join(map(str, word))
@@ -217,7 +207,7 @@ def _characterization_failure(word: list[int], reverse: list[int]) -> str | None
 def _relations_failure(word: list[int], reverse: list[int]) -> str | None:
     """Check the eight tableau-pair identities tying a permutation's
     reverse, complement, and inverse to transposes and evacuations."""
-    w = Permutation(word)
+    w = Permutation._trusted(tuple(word))
     pair = rsk(w)
     p, q = pair.p, pair.q
     ep, eq = evacuation(p), evacuation(q)
@@ -244,7 +234,7 @@ def _relations_failure(word: list[int], reverse: list[int]) -> str | None:
 def _phi_lifts(word: list[int], reverse: list[int]) -> str | list[tuple[int, ...]]:
     """The entries of every lift of a permutation two sizes up, or the
     first lift that projection fails to undo."""
-    w = Permutation(word)
+    w = Permutation._trusted(tuple(word))
     m = w.n + 2
     images = []
     for a in range(1, m + 1):
@@ -259,7 +249,7 @@ def _phi_lifts(word: list[int], reverse: list[int]) -> str | list[tuple[int, ...
 
 
 def _theta_equivariance_failure(word: list[int], reverse: list[int]) -> str | None:
-    v = Permutation(word)
+    v = Permutation._trusted(tuple(word))
     if theta(v.reverse()) != theta(v).reverse():
         return f"projection does not commute with reverse on {v}"
     if theta(v.complement()) != theta(v).complement():
@@ -296,10 +286,7 @@ def count_M(n: int, *, max_n: int = DEFAULT_MAX_COUNT_N) -> int:
     Even sizes have no symmetric hook shape, so the count is 0 rather than
     an error.
     """
-    _check_count_range(n, max_n)
-    if n % 2 == 0:
-        return 0
-    return sum(1 for t in enumerate_syt(symmetric_hook_shape(n)) if is_in_M(t))
+    return len(list_set("M", n, max_n=max_n))
 
 
 def list_set(
@@ -329,7 +316,7 @@ def list_set(
             f"listing is capped at n={list_max} (counting is still allowed)"
         )
     test = "same_recording_tableau" if which == "R" else "_in_H"
-    return [Permutation(entries) for entries in _collect(test, n, workers)]
+    return [Permutation._trusted(entries) for entries in _collect(test, n, workers)]
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +438,7 @@ def verify_R_transport(
     def measure() -> tuple[bool, str]:
         members = _collect("same_recording_tableau", n + 2, workers)
         for entries in members:
-            v = Permutation(entries)
+            v = Permutation._trusted(entries)
             projected = theta(v)
             if not same_recording_tableau(projected.entries, projected.entries[::-1]):
                 return False, f"projection of {v} leaves the reverse-stable set"

@@ -136,7 +136,8 @@ def evacuation_trace(t: StandardYoungTableau) -> EvacuationTrace:
         _remove_corner(work, r, c)
         out[r][c] = n - i
         vacated.append(Cell(r + 1, c + 1))
-    return EvacuationTrace(tuple(vacated), StandardYoungTableau(out))
+    evacuated = StandardYoungTableau._trusted(tuple(map(tuple, out)))
+    return EvacuationTrace(tuple(vacated), evacuated)
 
 
 def evacuation(t: StandardYoungTableau) -> StandardYoungTableau:

@@ -47,6 +47,13 @@ class Permutation:
         self.entries: tuple[int, ...] = entries
 
     @classmethod
+    def _trusted(cls, entries: tuple[int, ...]) -> "Permutation":
+        """Wrap entries the library built itself, without validating them."""
+        w = object.__new__(cls)
+        w.entries = entries
+        return w
+
+    @classmethod
     def parse(cls, text: str) -> "Permutation":
         """Parse "5 2 3 1 4", "5,2,3,1,4", or the compact form "52314" (n <= 9)."""
         s = text.strip()
@@ -61,8 +68,6 @@ class Permutation:
                     raise ValueError(f"invalid integer {token!r} in permutation text") from None
             return cls(values)
         if s.isdigit():
-            if len(s) == 1:
-                return cls([int(s)])
             return cls(int(ch) for ch in s)
         raise ValueError(f"cannot parse permutation from {text!r}")
 
@@ -72,19 +77,19 @@ class Permutation:
 
     def reverse(self) -> "Permutation":
         """w_n ... w_1."""
-        return Permutation(self.entries[::-1])
+        return Permutation._trusted(self.entries[::-1])
 
     def complement(self) -> "Permutation":
         """(n+1-w_1) ... (n+1-w_n)."""
         m = len(self.entries) + 1
-        return Permutation(m - v for v in self.entries)
+        return Permutation._trusted(tuple(m - v for v in self.entries))
 
     def inverse(self) -> "Permutation":
         """The permutation whose entry at position w_i is i."""
         inv = [0] * len(self.entries)
         for i, v in enumerate(self.entries, start=1):
             inv[v - 1] = i
-        return Permutation(inv)
+        return Permutation._trusted(tuple(inv))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -140,6 +145,8 @@ def unrank(n: int, r: int) -> Permutation:
     total = factorial(n)
     if not 0 <= r < total:
         raise ValueError(f"rank {r} out of range [0, {n}!) = [0, {total})")
+    if n > MAX_SIZE:
+        raise ValueError(f"size {n} exceeds the supported maximum {MAX_SIZE}")
     pool = list(range(1, n + 1))
     out = []
     block = total
@@ -147,7 +154,7 @@ def unrank(n: int, r: int) -> Permutation:
         block //= k
         idx, r = divmod(r, block)
         out.append(pool.pop(idx))
-    return Permutation(out)
+    return Permutation._trusted(tuple(out))
 
 
 def iterate_sn(n: int) -> Iterator[Permutation]:

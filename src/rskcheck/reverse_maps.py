@@ -88,7 +88,7 @@ def theta(w: Permutation) -> Permutation:
             out.append(v - 1)
         else:
             out.append(v - 2)
-    return Permutation(out)
+    return Permutation._trusted(tuple(out))
 
 
 def phi_parameters_of(w: Permutation) -> PhiParameters:

@@ -55,13 +55,8 @@ class InsertionOutcome:
     bump_path: tuple[Cell, ...]
 
 
-def _insert(rows: list[list[int]], x: int, linear: bool = False) -> tuple[int, int]:
-    """Bump x into the grid in place; returns the 0-based new cell.
-
-    The linear flag switches the within-row search from binary search to a
-    naive left-to-right scan; both must agree (rows are strictly
-    increasing) and the scan is kept as a differential-testing oracle.
-    """
+def _insert(rows: list[list[int]], x: int) -> tuple[int, int]:
+    """Bump x into the grid in place; returns the 0-based new cell."""
     r = 0
     val = x
     while True:
@@ -69,12 +64,7 @@ def _insert(rows: list[list[int]], x: int, linear: bool = False) -> tuple[int, i
             rows.append([val])
             return r, 0
         row = rows[r]
-        if linear:
-            idx = 0
-            while idx < len(row) and row[idx] < val:
-                idx += 1
-        else:
-            idx = bisect_left(row, val)
+        idx = bisect_left(row, val)
         if idx == len(row):
             row.append(val)
             return r, idx
@@ -82,9 +72,7 @@ def _insert(rows: list[list[int]], x: int, linear: bool = False) -> tuple[int, i
         r += 1
 
 
-def row_insert(
-    grid: Iterable[Sequence[int]], x: int, *, linear_scan: bool = False
-) -> InsertionOutcome:
+def row_insert(grid: Iterable[Sequence[int]], x: int) -> InsertionOutcome:
     """Insert x into a tableau-like grid by the bump rule.
 
     x lands at the end of the first row if it is >= every entry there;
@@ -99,7 +87,7 @@ def row_insert(
     if any(x in row for row in before):
         raise ValueError(f"value {x} already present in the grid")
     rows = [list(row) for row in before]
-    r, c = _insert(rows, x, linear_scan)
+    r, c = _insert(rows, x)
     new_cell = Cell(r + 1, c + 1)
     # Each row above the new cell had exactly one entry bumped out of it.
     path = [
@@ -113,23 +101,32 @@ def row_insert(
     )
 
 
-def rsk(w: Permutation, *, linear_scan: bool = False) -> TableauPair:
-    """Map a permutation to its (insertion, recording) tableau pair.
+def _schensted(word: Iterable[int]) -> tuple[list[list[int]], list[list[int]]]:
+    """Insertion and recording rows of a word of distinct positive integers.
 
-    The insertion tableau is built by bumping w_1, ..., w_n in order; the
-    recording tableau receives entry i at the cell created by step i.
+    The insertion rows are built by bumping the letters in order; the
+    recording rows receive entry i at the cell created by step i.
     """
-    if w.n < 1:
-        raise ValueError("rsk requires a nonempty permutation")
     p_rows: list[list[int]] = []
     q_rows: list[list[int]] = []
-    for step, x in enumerate(w.entries, start=1):
-        r, c = _insert(p_rows, x, linear_scan)
+    for step, x in enumerate(word, start=1):
+        r, _ = _insert(p_rows, x)
         if r == len(q_rows):
             q_rows.append([step])
         else:
             q_rows[r].append(step)
-    return TableauPair(StandardYoungTableau(p_rows), StandardYoungTableau(q_rows))
+    return p_rows, q_rows
+
+
+def rsk(w: Permutation) -> TableauPair:
+    """Map a permutation to its (insertion, recording) tableau pair."""
+    if w.n < 1:
+        raise ValueError("rsk requires a nonempty permutation")
+    p_rows, q_rows = _schensted(w.entries)
+    return TableauPair(
+        StandardYoungTableau._trusted(tuple(map(tuple, p_rows))),
+        StandardYoungTableau._trusted(tuple(map(tuple, q_rows))),
+    )
 
 
 def inverse_rsk(pair: TableauPair) -> Permutation:
@@ -205,6 +202,4 @@ def longest_increasing(w: Permutation) -> int:
 
 def longest_decreasing(w: Permutation) -> int:
     """Length of the longest strictly decreasing subsequence."""
-    if w.n < 1:
-        raise ValueError("requires a nonempty permutation")
     return longest_increasing(w.reverse())

@@ -49,16 +49,22 @@ class Shape:
             previous = p
         self.parts: tuple[int, ...] = parts
 
+    @classmethod
+    def _trusted(cls, parts: tuple[int, ...]) -> "Shape":
+        """Wrap parts the library built itself, without validating them."""
+        shape = object.__new__(cls)
+        shape.parts = parts
+        return shape
+
     @property
     def size(self) -> int:
         return sum(self.parts)
 
     def conjugate(self) -> "Shape":
         """Transpose the diagram: part j of the result counts parts >= j."""
-        if not self.parts:
-            return Shape(())
-        return Shape(
-            sum(1 for p in self.parts if p >= j) for j in range(1, self.parts[0] + 1)
+        width = self.parts[0] if self.parts else 0
+        return Shape._trusted(
+            tuple(sum(1 for p in self.parts if p >= j) for j in range(1, width + 1))
         )
 
     def is_hook(self) -> bool:
@@ -75,8 +81,6 @@ class Shape:
 
     def is_symmetric_hook(self) -> bool:
         """A hook equal to its conjugate: ((n+1)/2, 1^((n-1)/2)), n odd."""
-        if not self.parts:
-            raise ValueError("empty shape")
         return self.is_hook() and self.conjugate() == self
 
     def __len__(self) -> int:
@@ -150,22 +154,27 @@ class StandardYoungTableau:
                 raise ValueError(f"missing entry {v}: entries must be exactly 1..{n}")
         self.rows: tuple[tuple[int, ...], ...] = grid
 
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "StandardYoungTableau":
+        """Wrap rows the library built itself, without validating them."""
+        t = object.__new__(cls)
+        t.rows = rows
+        return t
+
     @property
     def n(self) -> int:
         return sum(len(row) for row in self.rows)
 
     @property
     def shape(self) -> Shape:
-        return Shape(len(row) for row in self.rows)
+        return Shape._trusted(tuple(map(len, self.rows)))
 
     def transpose(self) -> "StandardYoungTableau":
         """Reflect across the main diagonal: cell (i,j) moves to (j,i)."""
-        if not self.rows:
-            return StandardYoungTableau(())
-        cols = []
-        for j in range(len(self.rows[0])):
-            cols.append(tuple(row[j] for row in self.rows if len(row) > j))
-        return StandardYoungTableau(cols)
+        width = len(self.rows[0]) if self.rows else 0
+        return StandardYoungTableau._trusted(
+            tuple(tuple(row[j] for row in self.rows if len(row) > j) for j in range(width))
+        )
 
     def cell_of(self, value: int) -> Cell:
         """Locate an entry; raises ValueError when absent."""
@@ -218,7 +227,7 @@ def enumerate_syt(shape: Shape) -> list[StandardYoungTableau]:
     Built by recursively removing the largest entry from a corner, then
     sorted by reading word so the order is deterministic.
     """
-    tableaux = [StandardYoungTableau(rows) for rows in _fillings(shape.parts)]
+    tableaux = [StandardYoungTableau._trusted(rows) for rows in _fillings(shape.parts)]
     tableaux.sort(key=StandardYoungTableau.reading_word)
     return tableaux
 

@@ -299,6 +299,36 @@ class TestErrorPaths:
         assert code == 2
         assert "must differ" in err
 
+    def test_phi_result_over_the_size_bound_exit_2(self, capsys):
+        identity = " ".join(map(str, range(1, 20)))
+        code, out, err = run_cli(capsys, "phi", "--a", "1", "--b", "2", identity)
+        assert code == 2
+        assert out == ""
+        assert err == "error: size 21 exceeds the supported maximum 20\n"
+        code, out, err = run_cli(capsys, "phi", "--a", "1", "--b", "2", identity, "--json")
+        assert code == 2
+        assert json.loads(out) == {"error": "size 21 exceeds the supported maximum 20"}
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--n-max", "3"],
+            ["verify", "--symmetry", "--n-max", "2"],
+            ["enumerate", "--set", "R", "--n", "3"],
+            ["enumerate", "--set", "H", "--n", "3", "--list"],
+        ],
+    )
+    def test_workers_below_one_exit_2(self, capsys, tmp_path, argv, workers):
+        out_file = tmp_path / "reports.jsonl"
+        extra = ["--out", str(out_file)] if argv[0] == "verify" else []
+        code, out, err = run_cli(capsys, *argv, "--workers", workers, *extra)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: workers must be at least 1, got {workers}\n"
+        assert not out_file.exists()
+
     def test_unknown_command_exit_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["frobnicate"])

@@ -1,7 +1,10 @@
+import concurrent.futures
 import json
+import os
 
 import pytest
 
+from rskcheck import enumeration
 from rskcheck.enumeration import (
     VerificationReport,
     append_reports,
@@ -118,6 +121,63 @@ class TestCounts:
             assert count_R(6, workers=workers) == expected
         assert count_R(5, workers=3) == 24
         assert count_H(5, workers=2) == 36
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected_once_per_sweep(self, monkeypatch, workers):
+        visited = []
+        monkeypatch.setattr(
+            enumeration, "same_recording_tableau", lambda u, v: visited.append(u)
+        )
+        with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+            count_R(5, workers=workers)
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            list_set("H", 3, workers=workers)
+        assert visited == []
+
+
+class SerialPool:
+    """Stands in for the process pool: records its size and maps in this
+    process, so no test here starts a real pool."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, iterable):
+        return map(fn, iterable)
+
+
+class TestPoolSize:
+    @pytest.mark.parametrize(
+        "cpus, workers, expected",
+        [
+            (2, 64, [2, 2, 2, 2]),  # the pool never outgrows the CPUs
+            (None, 64, [1, 1, 1, 1]),  # unknown CPU count: one process
+            (8, 3, [2, 3, 3, 3]),  # nor the chunks: S_2 has two ranks
+        ],
+    )
+    def test_pool_capped_at_chunks_and_cpus(self, monkeypatch, cpus, workers, expected):
+        monkeypatch.setattr(SerialPool, "sizes", [])
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        reports = verify_count_theorem(5, workers=workers)
+        # S_1 is one chunk and runs without a pool
+        assert SerialPool.sizes == expected
+        assert [r.observed for r in reports] == [1, 0, 4, 0, 24]
+        assert all(r.passed and r.workers == workers for r in reports)
+
+    def test_chunking_follows_the_requested_workers(self, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        chunks = enumeration._run_over_ranks(lambda args: args, 4, 5)
+        assert chunks == [(4, 0, 5), (4, 5, 10), (4, 10, 15), (4, 15, 20), (4, 20, 24)]
 
 
 class TestListSet:

@@ -106,10 +106,11 @@ class TestEvacuation:
         assert len(set(trace.vacated_cells)) == t.n
 
     def test_shape_preserved_and_involution_small_sizes(self):
-        for n in range(1, 7):
+        for n in range(1, 9):
             for shape in partitions(n):
                 for t in enumerate_syt(shape):
                     ev = evacuation(t)
+                    assert StandardYoungTableau(ev.rows) == ev
                     assert ev.shape == t.shape
                     assert evacuation(ev) == t
 

@@ -96,6 +96,9 @@ class TestOperators:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_involutions_exhaustive(self, n):
         for w in iterate_sn(n):
+            # the operators build their results unvalidated
+            for image in (w.reverse(), w.complement(), w.inverse()):
+                assert Permutation(image.entries) == image
             assert w.reverse().reverse() == w
             assert w.complement().complement() == w
             assert w.inverse().inverse() == w
@@ -151,6 +154,9 @@ class TestUnrank:
             unrank(3, 6)
         with pytest.raises(ValueError, match="out of range"):
             unrank(3, -1)
+        # the size bound holds though unrank builds its result unvalidated
+        with pytest.raises(ValueError, match="size 21 exceeds the supported maximum 20"):
+            unrank(21, 0)
 
     @pytest.mark.parametrize("n", range(0, 7))
     def test_agrees_with_iteration_exhaustive(self, n):

@@ -73,6 +73,10 @@ class TestPhi:
         lifted = phi(w, a, b)
         assert lifted.n == w.n + 2  # constructor validated the rearrangement
 
+    def test_result_over_the_size_bound_rejected(self):
+        with pytest.raises(ValueError, match="size 21 exceeds the supported maximum 20"):
+            phi(Permutation(range(1, 20)), 1, 2)
+
 
 class TestTheta:
     def test_worked_examples(self):
@@ -83,6 +87,13 @@ class TestTheta:
     def test_small_sizes_rejected(self):
         with pytest.raises(ValueError, match="at least 3"):
             theta(Permutation([1, 2]))
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_result_is_valid_permutation_exhaustive(self, n):
+        # theta builds its result unvalidated; the constructor agrees
+        for w in iterate_sn(n):
+            projected = theta(w)
+            assert Permutation(projected.entries) == projected
 
     def test_preserves_interior_order_exhaustive_s5(self):
         for w in iterate_sn(5):

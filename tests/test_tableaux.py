@@ -196,11 +196,13 @@ class TestTranspose:
         )
 
     def test_involution_and_shape_exhaustive_small(self):
-        for n in range(1, 7):
+        for n in range(1, 9):
             for shape in partitions(n):
                 for t in enumerate_syt(shape):
-                    assert t.transpose().transpose() == t
-                    assert t.transpose().shape == t.shape.conjugate()
+                    transposed = t.transpose()
+                    assert StandardYoungTableau(transposed.rows) == transposed
+                    assert transposed.transpose() == t
+                    assert transposed.shape == Shape(t.shape.conjugate().parts)
 
     @given(syt_strategy())
     def test_involution_random(self, t):
@@ -258,4 +260,9 @@ class TestCountSyt:
     def test_matches_enumeration_for_all_shapes_up_to_eight(self):
         for n in range(0, 9):
             for shape in partitions(n):
-                assert count_syt(shape) == len(enumerate_syt(shape))
+                tableaux = enumerate_syt(shape)
+                assert count_syt(shape) == len(tableaux)
+                # enumerate_syt builds its tableaux unvalidated
+                for t in tableaux:
+                    assert StandardYoungTableau(t.rows) == t
+                    assert t.shape == shape
