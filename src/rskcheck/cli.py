@@ -53,6 +53,9 @@ def _read_tableau_source(source: str) -> object:
         data = data["rows"]
     if not isinstance(data, list):
         raise ValueError("tableau JSON must be a list of rows")
+    for i, row in enumerate(data, start=1):
+        if not isinstance(row, list):
+            raise ValueError(f"tableau row {i} must be a JSON list, got {json.dumps(row)}")
     return data
 
 
@@ -323,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.set_defaults(func=_cmd_enumerate)
 
     p_verify = sub.add_parser("verify", help="run exhaustive verification sweeps")
-    p_verify.add_argument("--count", action="store_true", help="brute-force counts vs the closed form")
+    p_verify.add_argument("--count", action="store_true", help="exhaustive counts vs the closed form")
     p_verify.add_argument("--characterization", action="store_true")
     p_verify.add_argument("--symmetry", action="store_true")
     p_verify.add_argument("--phi-theta", dest="phi_theta", action="store_true")
@@ -343,6 +346,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "workers"):
+            enumeration._check_workers(args.workers)
         return args.func(args)
     except ValueError as exc:
         if getattr(args, "json", False):

@@ -1,10 +1,17 @@
 """Exhaustive sweeps over symmetric groups and tableau families: set
 counts, memberships, and machine-readable verification reports.
 
-Every sweep runs on one core, `_sweep`: it unranks the start of a
+R_n is listed by one pruned search, `_reverse_stable`: it builds each
+word from both ends, inserts in lockstep, and drops a subtree at the
+first recording step that differs; every word it completes is judged by
+the definitional `same_recording_tableau`. Its work is split across
+worker processes by first letter, and the members are sorted, so they
+come out in rank order.
+
+Every other sweep runs on one core, `_sweep`: it unranks the start of a
 contiguous lexicographic rank interval, advances with `next_permutation`,
 and calls one predicate per permutation, on the word and its reverse. A
-membership predicate (R or H) collects the members it accepts; a check
+membership predicate (H) collects the members it accepts; a check
 returns its first failure, and the scan of that interval stops there.
 Intervals are split across worker processes and their results are
 concatenated in rank order, so every count, member list and first
@@ -25,7 +32,7 @@ from typing import Callable, Literal
 from .evacuation import evacuation
 from .permutations import Permutation, next_permutation, unrank
 from .reverse_maps import is_in_M, phi, satisfies_first_row_property, theta
-from .rsk import _schensted, rsk, same_recording_tableau
+from .rsk import _insert, _schensted, _uninsert, rsk, same_recording_tableau
 from .tableaux import Shape, StandardYoungTableau, enumerate_syt
 
 __all__ = [
@@ -136,10 +143,21 @@ def _chunk_ranks(total: int, workers: int) -> list[tuple[int, int]]:
     return [(bounds[i], bounds[i + 1]) for i in range(pieces)]
 
 
-def _run_over_ranks(worker: Callable, n: int, workers: int) -> list:
+def _check_workers(workers: int) -> None:
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    argses = [(n, lo, hi) for lo, hi in _chunk_ranks(factorial(n), workers)]
+
+
+def _run_over_ranks(
+    worker: Callable, n: int, workers: int, total: int | None = None
+) -> list:
+    """Run worker on (n, lo, hi) for each of `workers` contiguous pieces
+    [lo, hi) of range(total), the ranks of S_n unless total says otherwise,
+    and return the results in piece order."""
+    _check_workers(workers)
+    if total is None:
+        total = factorial(n)
+    argses = [(n, lo, hi) for lo, hi in _chunk_ranks(total, workers)]
     if len(argses) == 1:
         return [worker(argses[0])]
     # Imported here so that commands which never sweep in parallel do not
@@ -190,6 +208,57 @@ def _first_failure(check: str, n: int, workers: int) -> str | None:
     return None
 
 
+def _reverse_stable(args: tuple[int, int, int]) -> list[tuple[int, ...]]:
+    """The members of R_n whose first letter lies in (lo, hi], unordered.
+
+    A backtracking search from both ends: depth k fixes w_k and then
+    w_{n+1-k}, bumps w_k into the forward rows and w_{n+1-k} into the
+    reverse rows, and goes on only with a w_{n+1-k} whose new cell is
+    w_k's. Step k of Q(w) and of Q(w^r) is compared there, so a subtree
+    dropped at a mismatch holds no member. Each step is undone in place by
+    a reverse bump. For odd n the middle letter is forced. Every completed
+    word is judged by the predicate named same_recording_tableau, looked up
+    in this module's globals as `_sweep` does.
+    """
+    n, lo, hi = args
+    verdict = globals()["same_recording_tableau"]
+    half = n // 2
+    w = [0] * n
+    forward: list[list[int]] = []
+    backward: list[list[int]] = []
+    found = []
+
+    def extend(k: int, free: tuple[int, ...]) -> None:
+        if k == half:
+            if free:
+                w[half] = free[0]
+            if verdict(w, w[::-1]):
+                found.append(tuple(w))
+            return
+        for i, a in enumerate(free):
+            if k == 0 and not lo < a <= hi:
+                continue
+            rest = free[:i] + free[i + 1 :]
+            w[k] = a
+            cell = _insert(forward, a)
+            for j, b in enumerate(rest):
+                back = _insert(backward, b)
+                if back == cell:
+                    w[n - 1 - k] = b
+                    extend(k + 1, rest[:j] + rest[j + 1 :])
+                _uninsert(backward, back[0])
+            _uninsert(forward, cell[0])
+
+    extend(0, tuple(range(1, n + 1)))
+    return found
+
+
+def _reverse_stable_members(n: int, workers: int) -> list[tuple[int, ...]]:
+    """R_n in rank order, its first letters split across the workers."""
+    chunks = _run_over_ranks(_reverse_stable, n, workers, total=n)
+    return sorted(member for chunk in chunks for member in chunk)
+
+
 def _in_H(word: list[int], reverse: list[int]) -> bool:
     _, q_rows = _schensted(word)
     return Shape._trusted(tuple(map(len, q_rows))).is_symmetric_hook()
@@ -225,7 +294,7 @@ def _relations_failure(word: list[int], reverse: list[int]) -> str | None:
         ("inverse-reverse-complement", wi.reverse().complement(), eq, ep),
     )
     for name, v, expect_p, expect_q in cases:
-        got = rsk(v)
+        got = pair if v is w else rsk(v)
         if got.p != expect_p or got.q != expect_q:
             return f"{name} relation fails for {w}"
     return None
@@ -267,10 +336,10 @@ def _check_count_range(n: int, max_n: int) -> None:
 
 
 def count_R(n: int, *, workers: int = 1, max_n: int = DEFAULT_MAX_COUNT_N) -> int:
-    """Brute-force count of permutations sharing a recording tableau with
-    their reverse."""
+    """Exhaustive count of permutations sharing a recording tableau with
+    their reverse, by the two-ended pruned search."""
     _check_count_range(n, max_n)
-    return len(_collect("same_recording_tableau", n, workers))
+    return len(_reverse_stable_members(n, workers))
 
 
 def count_H(n: int, *, workers: int = 1, max_n: int = DEFAULT_MAX_COUNT_N) -> int:
@@ -315,8 +384,11 @@ def list_set(
         raise ValueError(
             f"listing is capped at n={list_max} (counting is still allowed)"
         )
-    test = "same_recording_tableau" if which == "R" else "_in_H"
-    return [Permutation._trusted(entries) for entries in _collect(test, n, workers)]
+    if which == "R":
+        members = _reverse_stable_members(n, workers)
+    else:
+        members = _collect("_in_H", n, workers)
+    return [Permutation._trusted(entries) for entries in members]
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +431,7 @@ def _holds(failure: str | None) -> tuple[bool, str | None]:
 def verify_count_theorem(
     n_max: int, *, workers: int = 1, max_n: int = DEFAULT_MAX_COUNT_N
 ) -> list[VerificationReport]:
-    """Compare the brute-force reverse-stable count with its closed form
+    """Compare the exhaustive reverse-stable count with its closed form
     for every size up to n_max."""
     _check_count_range(n_max, max_n)
     return [
@@ -436,7 +508,7 @@ def verify_R_transport(
     _check_count_range(n + 2, max_n)
 
     def measure() -> tuple[bool, str]:
-        members = _collect("same_recording_tableau", n + 2, workers)
+        members = _reverse_stable_members(n + 2, workers)
         for entries in members:
             v = Permutation._trusted(entries)
             projected = theta(v)

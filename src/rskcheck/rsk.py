@@ -72,6 +72,21 @@ def _insert(rows: list[list[int]], x: int) -> tuple[int, int]:
         r += 1
 
 
+def _uninsert(rows: list[list[int]], r: int) -> int:
+    """Undo, in place, the insertion that ended at the last cell of row r:
+    empty that cell and reverse-bump its value upward, each row giving up
+    its rightmost entry smaller than the value coming up. Returns the
+    letter that leaves the top row."""
+    val = rows[r].pop()
+    if not rows[r]:
+        del rows[r]
+    for upper in range(r - 1, -1, -1):
+        row = rows[upper]
+        idx = bisect_left(row, val) - 1
+        row[idx], val = val, row[idx]
+    return val
+
+
 def row_insert(grid: Iterable[Sequence[int]], x: int) -> InsertionOutcome:
     """Insert x into a tableau-like grid by the bump rule.
 
@@ -137,23 +152,9 @@ def inverse_rsk(pair: TableauPair) -> Permutation:
     rightmost smaller entry of the row above, until it exits the top row
     as a letter of the permutation.
     """
-    n = pair.q.n
-    position: dict[int, tuple[int, int]] = {}
-    for r, row in enumerate(pair.q.rows):
-        for c, v in enumerate(row):
-            position[v] = (r, c)
+    row_of = {v: r for r, row in enumerate(pair.q.rows) for v in row}
     p_rows = [list(row) for row in pair.p.rows]
-    letters: list[int] = []
-    for k in range(n, 0, -1):
-        r, c = position[k]
-        val = p_rows[r].pop()
-        if not p_rows[r]:
-            del p_rows[r]
-        for upper in range(r - 1, -1, -1):
-            row = p_rows[upper]
-            idx = bisect_left(row, val) - 1
-            row[idx], val = val, row[idx]
-        letters.append(val)
+    letters = [_uninsert(p_rows, row_of[k]) for k in range(pair.q.n, 0, -1)]
     return Permutation(letters[::-1])
 
 

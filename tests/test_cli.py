@@ -284,6 +284,25 @@ class TestErrorPaths:
         assert code == 2
         assert "row order violated" in err
 
+    @pytest.mark.parametrize("command", ["evac", "delta"])
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("[1,2]", "tableau row 1 must be a JSON list, got 1"),
+            ('[{"a":1}]', 'tableau row 1 must be a JSON list, got {"a": 1}'),
+            ('{"rows":[[1],2]}', "tableau row 2 must be a JSON list, got 2"),
+        ],
+    )
+    def test_tableau_row_not_a_list_exit_2(self, capsys, command, source, message):
+        code, out, err = run_cli(capsys, command, source)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+        code, out, err = run_cli(capsys, command, source, "--json")
+        assert code == 2
+        assert json.loads(out) == {"error": message}
+        assert err == f"error: {message}\n"
+
     def test_missing_tableau_file(self, capsys):
         code, _, err = run_cli(capsys, "evac", "no-such-file.json")
         assert code == 2
@@ -318,6 +337,8 @@ class TestErrorPaths:
             ["verify", "--symmetry", "--n-max", "2"],
             ["enumerate", "--set", "R", "--n", "3"],
             ["enumerate", "--set", "H", "--n", "3", "--list"],
+            ["verify", "--transport", "--n-max", "2"],  # no sweep to run
+            ["enumerate", "--set", "M", "--n", "3"],  # M takes no sweep
         ],
     )
     def test_workers_below_one_exit_2(self, capsys, tmp_path, argv, workers):

@@ -1,4 +1,5 @@
 import concurrent.futures
+import functools
 import json
 import os
 
@@ -133,6 +134,25 @@ class TestCounts:
         with pytest.raises(ValueError, match="workers must be at least 1"):
             list_set("H", 3, workers=workers)
         assert visited == []
+
+
+@functools.cache
+def brute_force_R(n):
+    """R_n by the rank scan: the definitional test on every permutation."""
+    return enumeration._collect("same_recording_tableau", n, 1)
+
+
+class TestPrunedSweepAgainstBruteForce:
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_counts(self, n, workers):
+        assert count_R(n, workers=workers) == len(brute_force_R(n))
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_members(self, n, workers):
+        members = list_set("R", n, workers=workers)
+        assert [w.entries for w in members] == brute_force_R(n)
 
 
 class SerialPool:

@@ -48,6 +48,15 @@ def test_count_fails_on_short_lockstep(monkeypatch, workers):
     assert failures(reports) == [(2, 2, None)]
 
 
+@WORKERS
+def test_count_fails_when_every_leaf_passes(monkeypatch, workers):
+    # Only the words the two-ended search completes reach the leaf
+    # verdict: all of S_2 and S_3, but 12 of the 24 words of S_4.
+    monkeypatch.setattr(enumeration, "same_recording_tableau", lambda u, v: True)
+    reports = enumeration.verify_count_theorem(4, workers=workers)
+    assert failures(reports) == [(2, 2, None), (3, 6, None), (4, 12, None)]
+
+
 def test_count_failure_reaches_the_cli(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(enumeration, "same_recording_tableau", lockstep_one_step_short)
     out_file = tmp_path / "reports.jsonl"
