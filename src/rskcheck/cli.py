@@ -42,11 +42,16 @@ def _read_tableau_source(source: str) -> object:
         path = Path(text)
         if not path.exists():
             raise ValueError(f"tableau file not found: {text}")
-        text = path.read_text(encoding="utf-8").strip()
+        try:
+            text = path.read_text(encoding="utf-8").strip()
+        except OSError as exc:
+            raise ValueError(f"cannot read tableau file {text}: {exc.strerror}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid tableau JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError("invalid tableau JSON: nested too deeply") from None
     if isinstance(data, dict):
         if "rows" not in data:
             raise ValueError('tableau JSON object must have a "rows" key')

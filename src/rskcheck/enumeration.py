@@ -8,14 +8,15 @@ the definitional `same_recording_tableau`. Its work is split across
 worker processes by first letter, and the members are sorted, so they
 come out in rank order.
 
-Every other sweep runs on one core, `_sweep`: it unranks the start of a
-contiguous lexicographic rank interval, advances with `next_permutation`,
-and calls one predicate per permutation, on the word and its reverse. A
-membership predicate (H) collects the members it accepts; a check
-returns its first failure, and the scan of that interval stops there.
-Intervals are split across worker processes and their results are
-concatenated in rank order, so every count, member list and first
-failure is independent of the worker count.
+H_n and C_n, whose recording tableaux are the symmetric hooks and those
+of them with the first-row property, are not searched: by the RSK
+bijection they are the `inverse_rsk` images of their tableau pairs. The
+characterization is the set equality R_n = C_n. The R side never looks
+at a shape, and the C side never compares a word with its reverse.
+
+The relations and phi/theta suites scan S_n with `_sweep`, one contiguous
+rank interval per worker process, and concatenate the results in rank
+order, so, as for R_n, no result depends on the worker count.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import cache, partial
 from math import comb, factorial
 from pathlib import Path
 from typing import Callable, Literal
@@ -32,7 +33,7 @@ from typing import Callable, Literal
 from .evacuation import evacuation
 from .permutations import Permutation, next_permutation, unrank
 from .reverse_maps import is_in_M, phi, satisfies_first_row_property, theta
-from .rsk import _insert, _schensted, _uninsert, rsk, same_recording_tableau
+from .rsk import TableauPair, _insert, _uninsert, inverse_rsk, rsk, same_recording_tableau
 from .tableaux import Shape, StandardYoungTableau, enumerate_syt
 
 __all__ = [
@@ -259,18 +260,18 @@ def _reverse_stable_members(n: int, workers: int) -> list[tuple[int, ...]]:
     return sorted(member for chunk in chunks for member in chunk)
 
 
-def _in_H(word: list[int], reverse: list[int]) -> bool:
-    _, q_rows = _schensted(word)
-    return Shape._trusted(tuple(map(len, q_rows))).is_symmetric_hook()
+def _hook_tableaux(n: int) -> list[StandardYoungTableau]:
+    """The standard tableaux of the symmetric hook of size n; none for even n."""
+    return enumerate_syt(symmetric_hook_shape(n)) if n % 2 else []
 
 
-def _characterization_failure(word: list[int], reverse: list[int]) -> str | None:
-    _, q_rows = _schensted(word)
-    q = StandardYoungTableau._trusted(tuple(map(tuple, q_rows)))
-    characterized = q.shape.is_symmetric_hook() and satisfies_first_row_property(q)
-    if same_recording_tableau(word, reverse) != characterized:
-        return "first counterexample: " + " ".join(map(str, word))
-    return None
+def _inverse_images(recording: list[StandardYoungTableau]) -> list[tuple[int, ...]]:
+    """The entries of every permutation whose recording tableau is in
+    `recording`, in rank order: by the RSK bijection, one per insertion
+    tableau of the recording tableau's shape."""
+    fillings = cache(enumerate_syt)
+    pairs = (TableauPair(p, q) for q in recording for p in fillings(q.shape))
+    return sorted(inverse_rsk(pair).entries for pair in pairs)
 
 
 def _relations_failure(word: list[int], reverse: list[int]) -> str | None:
@@ -343,10 +344,11 @@ def count_R(n: int, *, workers: int = 1, max_n: int = DEFAULT_MAX_COUNT_N) -> in
 
 
 def count_H(n: int, *, workers: int = 1, max_n: int = DEFAULT_MAX_COUNT_N) -> int:
-    """Brute-force count of permutations whose recording tableau has
-    symmetric hook shape."""
+    """Count the permutations whose recording tableau has symmetric hook
+    shape, listed as the inverse RSK images of the hook's tableau pairs."""
     _check_count_range(n, max_n)
-    return len(_collect("_in_H", n, workers))
+    _check_workers(workers)
+    return len(_inverse_images(_hook_tableaux(n)))
 
 
 def count_M(n: int, *, max_n: int = DEFAULT_MAX_COUNT_N) -> int:
@@ -373,9 +375,7 @@ def list_set(
     """
     if which == "M":
         _check_count_range(n, max_n)
-        if n % 2 == 0:
-            return []
-        return [t for t in enumerate_syt(symmetric_hook_shape(n)) if is_in_M(t)]
+        return [t for t in _hook_tableaux(n) if is_in_M(t)]
     if which not in ("R", "H"):
         raise ValueError(f"unknown set {which!r}: expected R, H, or M")
     if n < 1:
@@ -387,7 +387,8 @@ def list_set(
     if which == "R":
         members = _reverse_stable_members(n, workers)
     else:
-        members = _collect("_in_H", n, workers)
+        _check_workers(workers)
+        members = _inverse_images(_hook_tableaux(n))
     return [Permutation._trusted(entries) for entries in members]
 
 
@@ -449,17 +450,20 @@ def verify_count_theorem(
 def verify_characterization(
     n_max: int, *, workers: int = 1, max_n: int = DEFAULT_MAX_COUNT_N
 ) -> list[VerificationReport]:
-    """Check, for every permutation up to size n_max, that the definitional
-    reverse-stability test agrees with the symmetric-hook plus first-row
-    characterization of the recording tableau."""
+    """Check, for every n up to n_max, that R_n equals C_n, the permutations
+    whose recording tableau is the symmetric hook with the first-row
+    property, and report the least word of R_n ^ C_n, if any."""
     _check_count_range(n_max, max_n)
+
+    def first_failure(n: int) -> str | None:
+        recording = [q for q in _hook_tableaux(n) if satisfies_first_row_property(q)]
+        disagree = set(_reverse_stable_members(n, workers)) ^ set(_inverse_images(recording))
+        if disagree:
+            return "first counterexample: " + " ".join(map(str, min(disagree)))
+        return None
+
     return [
-        _report(
-            "characterization",
-            n,
-            workers,
-            lambda: _holds(_first_failure("_characterization_failure", n, workers)),
-        )
+        _report("characterization", n, workers, lambda: _holds(first_failure(n)))
         for n in range(1, n_max + 1)
     ]
 

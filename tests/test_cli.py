@@ -1,3 +1,6 @@
+import contextlib
+import errno
+import io
 import json
 import os
 import subprocess
@@ -5,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import rskcheck
 from rskcheck import cli, enumeration
@@ -303,6 +307,27 @@ class TestErrorPaths:
         assert json.loads(out) == {"error": message}
         assert err == f"error: {message}\n"
 
+    def assert_exit_2(self, capsys, argv, message):
+        """Text mode and --json both exit 2 with the one-line diagnostic."""
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        code, out, err = run_cli(capsys, *argv, "--json")
+        assert code == 2
+        assert json.loads(out) == {"error": message}
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["evac", "delta"])
+    def test_deeply_nested_tableau_file_exit_2(self, capsys, tmp_path, command):
+        source = tmp_path / "deep.json"
+        source.write_text("[" * 100_000 + "]" * 100_000)
+        message = "invalid tableau JSON: nested too deeply"
+        self.assert_exit_2(capsys, [command, str(source)], message)
+
+    @pytest.mark.parametrize("command", ["evac", "delta"])
+    def test_tableau_source_is_a_directory_exit_2(self, capsys, tmp_path, command):
+        message = f"cannot read tableau file {tmp_path}: {os.strerror(errno.EISDIR)}"
+        self.assert_exit_2(capsys, [command, str(tmp_path)], message)
+
     def test_missing_tableau_file(self, capsys):
         code, _, err = run_cli(capsys, "evac", "no-such-file.json")
         assert code == 2
@@ -354,6 +379,72 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["frobnicate"])
         assert excinfo.value.code == 2
+
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(),
+    st.integers(),
+    st.integers(min_value=2**64),
+    st.text(max_size=4),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=16,
+)
+tableau_like = st.lists(st.lists(st.integers(-1, 10), max_size=4), max_size=4)
+tableau_sources = st.one_of(
+    json_values,
+    tableau_like,
+    st.lists(json_values, max_size=4),
+    st.builds(lambda rows: {"rows": rows}, json_values | tableau_like),
+).map(json.dumps)
+permutation_texts = st.one_of(
+    st.text(max_size=30),
+    st.builds(
+        lambda values, sep: sep.join(map(str, values)),
+        st.lists(st.integers(-2, 25), max_size=12),
+        st.sampled_from([" ", ",", ""]),
+    ),
+)
+
+
+def run_in_process(argv):
+    """The exit code, stdout and stderr of one CLI call, and whether it
+    left through SystemExit, as argparse's own usage errors do."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return cli.main(argv), out.getvalue(), err.getvalue(), False
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue(), True
+
+
+def assert_clean_exit(argv):
+    """A result with output, or exit 2 with exactly one error line; any
+    other exception propagates and fails the calling test."""
+    code, out, err, argparse_exit = run_in_process(argv)
+    if code != 2:
+        assert code in (0, 1)
+        assert out
+    elif argparse_exit:
+        assert [line for line in err.splitlines() if "error: " in line] == err.splitlines()[-1:]
+    else:
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+
+class TestBoundaryFuzzing:
+    @given(st.sampled_from(["evac", "delta"]), tableau_sources, st.booleans())
+    def test_tableau_sources(self, command, source, as_json):
+        assert_clean_exit([command, source, *(["--json"] if as_json else [])])
+
+    @given(permutation_texts, st.booleans())
+    def test_check_texts(self, text, as_json):
+        assert_clean_exit(["check", text, *(["--json"] if as_json else [])])
 
 
 class TestModuleEntryPoint:

@@ -23,7 +23,7 @@ from rskcheck.enumeration import (
     verify_symmetry_relations,
 )
 from rskcheck.permutations import Permutation, iterate_sn
-from rskcheck.reverse_maps import is_in_H, is_in_M, is_in_R
+from rskcheck.reverse_maps import is_in_H, is_in_M, is_in_R, satisfies_first_row_property
 from rskcheck.rsk import rsk
 from rskcheck.tableaux import count_syt
 
@@ -153,6 +153,39 @@ class TestPrunedSweepAgainstBruteForce:
     def test_members(self, n, workers):
         members = list_set("R", n, workers=workers)
         assert [w.entries for w in members] == brute_force_R(n)
+
+
+def brute_force_characterized(n):
+    """C_n by a filter over S_n: Q(w) is the symmetric hook and has the
+    first-row property."""
+    found = []
+    for w in iterate_sn(n):
+        q = rsk(w).q
+        if q.shape.is_symmetric_hook() and satisfies_first_row_property(q):
+            found.append(w.entries)
+    return found
+
+
+class TestInverseImagesAgainstBruteForce:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_hook_shaped_members(self, n):
+        members = list_set("H", n)
+        assert [w.entries for w in members] == [w.entries for w in iterate_sn(n) if is_in_H(w)]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_characterized_set(self, n):
+        recording = [
+            q for q in enumeration._hook_tableaux(n) if satisfies_first_row_property(q)
+        ]
+        assert enumeration._inverse_images(recording) == brute_force_characterized(n)
+
+    def test_no_rank_scan(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(enumeration, "_sweep", lambda *args: calls.append(args) or [])
+        assert all(r.passed for r in verify_characterization(9))
+        assert count_H(9) == 4900
+        assert len(list_set("H", 8)) == 0
+        assert calls == []
 
 
 class SerialPool:

@@ -91,6 +91,21 @@ def test_characterization_fails_with_trivial_first_row_property(monkeypatch, wor
 
 
 @WORKERS
+def test_characterization_fails_when_every_leaf_passes(monkeypatch, workers):
+    # The R side is the pruned search, so the words it reports are its
+    # completed leaves: at n = 4 that is 1 2 4 3, where a rank scan would
+    # report 1 2 3 4.
+    monkeypatch.setattr(enumeration, "same_recording_tableau", lambda u, v: True)
+    reports = enumeration.verify_characterization(5, workers=workers)
+    assert failures(reports) == [
+        (2, False, "first counterexample: 1 2"),
+        (3, False, "first counterexample: 1 2 3"),
+        (4, False, "first counterexample: 1 2 4 3"),
+        (5, False, "first counterexample: 1 2 3 5 4"),
+    ]
+
+
+@WORKERS
 def test_symmetry_fails_with_identity_evacuation(monkeypatch, workers):
     monkeypatch.setattr(enumeration, "evacuation", lambda t: t)
     reports = [
