@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success (and on verification passes), 1 when any emitted
 verification report fails or a membership check is negative, 2 on usage,
-parse, or range errors.
+parse, or range errors, 130 when interrupted (Ctrl-C); `verify` keeps the
+reports that finished, on stdout and in its report file.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .tableaux import StandardYoungTableau
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+INTERRUPTED = 130
 
 
 def _emit(payload: dict, as_json: bool, text: str) -> None:
@@ -228,47 +230,28 @@ def _format_report(report: enumeration.VerificationReport) -> str:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    suites = {
-        "count": args.count,
-        "characterization": args.characterization,
-        "symmetry": args.symmetry,
-        "phi_theta": args.phi_theta,
-        "transport": args.transport,
-    }
-    if args.all or not any(suites.values()):
-        suites = dict.fromkeys(suites, True)
-    n_max = args.n_max
-    if n_max < 1:
-        raise ValueError(f"--n-max must be at least 1, got {n_max}")
-    workers = args.workers
-    reports: list[enumeration.VerificationReport] = []
-    if suites["count"]:
-        reports.extend(
-            enumeration.verify_count_theorem(n_max, workers=workers, max_n=args.max_n)
-        )
-    if suites["characterization"]:
-        reports.extend(
-            enumeration.verify_characterization(n_max, workers=workers, max_n=args.max_n)
-        )
-    if suites["symmetry"]:
-        for n in range(1, min(n_max, enumeration.SYMMETRY_MAX_N) + 1):
-            reports.append(enumeration.verify_symmetry_relations(n, workers=workers))
-    if suites["phi_theta"]:
-        for n in range(1, min(n_max, enumeration.PHI_THETA_MAX_N) + 1):
-            reports.append(enumeration.verify_phi_theta(n, workers=workers))
-    if suites["transport"]:
-        for n in range(1, min(n_max - 2, enumeration.TRANSPORT_MAX_N) + 1):
-            reports.append(
-                enumeration.verify_R_transport(n, workers=workers, max_n=args.max_n)
-            )
-    enumeration.append_reports(reports, args.out)
-    if args.json:
-        for report in reports:
-            print(report.to_json())
-    else:
-        for report in reports:
-            print(_format_report(report))
-    return 0 if all(report.passed for report in reports) else CHECK_FAILED
+    if args.n_max < 1:
+        raise ValueError(f"--n-max must be at least 1, got {args.n_max}")
+    chosen = [suite for suite in enumeration.SUITES if getattr(args, suite)]
+    claims = enumeration.verify(
+        chosen if chosen and not args.all else enumeration.SUITES,
+        args.n_max,
+        workers=args.workers,
+        max_n=args.max_n,
+    )
+    try:
+        out = open(args.out, "a", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot open report file {args.out}: {exc.strerror}") from None
+    passed = True
+    with out:
+        for claim in claims:
+            report = claim()
+            out.write(report.to_json() + "\n")
+            out.flush()
+            print(report.to_json() if args.json else _format_report(report), flush=True)
+            passed = passed and report.passed
+    return 0 if passed else CHECK_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -359,6 +342,9 @@ def main(argv: list[str] | None = None) -> int:
             print(json.dumps({"error": str(exc)}, separators=(",", ":")))
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -17,6 +17,10 @@ at a shape, and the C side never compares a word with its reverse.
 The relations and phi/theta suites scan S_n with `_sweep`, one contiguous
 rank interval per worker process, and concatenate the results in rank
 order, so, as for R_n, no result depends on the worker count.
+
+`verify` plans a verification run, checks every range before any work
+starts, and shares one memo of R_n between the count, characterization
+and transport claims, so a run builds each R_n once.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import asdict, dataclass
 from functools import cache, partial
 from math import comb, factorial
 from pathlib import Path
-from typing import Callable, Literal
+from typing import Callable, Iterable, Literal
 
 from .evacuation import evacuation
 from .permutations import Permutation, next_permutation, unrank
@@ -40,9 +44,9 @@ __all__ = [
     "DEFAULT_MAX_COUNT_N",
     "DEFAULT_MAX_LIST_N",
     "PHI_THETA_MAX_N",
+    "SUITES",
     "SYMMETRY_MAX_N",
     "SetName",
-    "TRANSPORT_MAX_N",
     "VerificationReport",
     "append_reports",
     "count_H",
@@ -52,6 +56,7 @@ __all__ = [
     "count_R_formula",
     "list_set",
     "symmetric_hook_shape",
+    "verify",
     "verify_R_transport",
     "verify_characterization",
     "verify_count_theorem",
@@ -62,12 +67,12 @@ __all__ = [
 DEFAULT_MAX_COUNT_N = 11
 DEFAULT_MAX_LIST_N = 8
 
-# Largest sizes of the per-size suites: the symmetry relations and the
-# phi/theta sources are checked up to a fixed size; transport sources stop
-# at TRANSPORT_MAX_N or two below the sweep bound, whichever is smaller.
+# Largest sizes of the n!-scan suites: the symmetry relations and the
+# phi/theta sources are checked up to these sizes, whatever the run's n_max.
 SYMMETRY_MAX_N = 7
 PHI_THETA_MAX_N = 6
-TRANSPORT_MAX_N = 7
+
+SUITES = ("count", "characterization", "symmetry", "phi_theta", "transport")
 
 SetName = Literal["R", "H", "M"]
 
@@ -429,22 +434,68 @@ def _holds(failure: str | None) -> tuple[bool, str | None]:
     return failure is None, failure
 
 
+def _characterization(n: int, members: list[tuple[int, ...]]) -> tuple[bool, str | None]:
+    """Whether R_n, given by its members, is C_n; if not, the least of R_n ^ C_n."""
+    recording = [q for q in _hook_tableaux(n) if satisfies_first_row_property(q)]
+    disagree = set(members) ^ set(_inverse_images(recording))
+    if disagree:
+        return False, "first counterexample: " + " ".join(map(str, min(disagree)))
+    return True, None
+
+
+def _transport(members: list[tuple[int, ...]]) -> tuple[bool, str]:
+    """Project each member of R_{n+2} into R_n and lift it back by its endpoints."""
+    for entries in members:
+        v = Permutation._trusted(entries)
+        projected = theta(v)
+        if not same_recording_tableau(projected.entries, projected.entries[::-1]):
+            return False, f"projection of {v} leaves the reverse-stable set"
+        if phi(projected, v.entries[0], v.entries[-1]) != v:
+            return False, f"endpoint lift does not reassemble {v}"
+    return True, f"checked {len(members)} members"
+
+
+def verify(
+    suites: Iterable[str], n_max: int, *, workers: int = 1, max_n: int = DEFAULT_MAX_COUNT_N
+) -> list[Callable[[], VerificationReport]]:
+    """Plan a run of the named suites up to size n_max: one claim per
+    report, in SUITES order and then by size, which checks and reports
+    when called. Symmetry and phi/theta stop at their caps, and transport
+    sources at n_max - 2. Every range is checked here, before any claim
+    runs. The claims share one memo of R_n, so a report's elapsed_ms
+    counts only the work its own claim did."""
+    chosen = set(suites)
+    if chosen - set(SUITES):
+        raise ValueError(f"unknown suite {min(chosen - set(SUITES))!r}: expected one of {SUITES}")
+    caps = {"symmetry": SYMMETRY_MAX_N, "phi_theta": PHI_THETA_MAX_N, "transport": n_max - 2}
+    sizes = {suite: range(1, min(n_max, caps.get(suite, n_max)) + 1) for suite in SUITES}
+    if chosen & {"count", "characterization"}:
+        _check_count_range(n_max, max_n)
+    for n in sizes["transport"] if "transport" in chosen else ():
+        _check_count_range(n + 2, max_n)
+    members = cache(lambda n: _reverse_stable_members(n, workers))
+    claims = {
+        "count": lambda n: _report(
+            "count_R", n, workers, lambda: (len(members(n)), None), count_R_formula(n)
+        ),
+        "characterization": lambda n: _report(
+            "characterization", n, workers, lambda: _characterization(n, members(n))
+        ),
+        "symmetry": partial(verify_symmetry_relations, workers=workers),
+        "phi_theta": partial(verify_phi_theta, workers=workers),
+        "transport": lambda n: _report(
+            "r_transport", n, workers, lambda: _transport(members(n + 2))
+        ),
+    }
+    return [partial(claims[suite], n) for suite in SUITES if suite in chosen for n in sizes[suite]]
+
+
 def verify_count_theorem(
     n_max: int, *, workers: int = 1, max_n: int = DEFAULT_MAX_COUNT_N
 ) -> list[VerificationReport]:
     """Compare the exhaustive reverse-stable count with its closed form
     for every size up to n_max."""
-    _check_count_range(n_max, max_n)
-    return [
-        _report(
-            "count_R",
-            n,
-            workers,
-            lambda: (count_R(n, workers=workers, max_n=max_n), None),
-            formula=count_R_formula(n),
-        )
-        for n in range(1, n_max + 1)
-    ]
+    return [claim() for claim in verify(["count"], n_max, workers=workers, max_n=max_n)]
 
 
 def verify_characterization(
@@ -453,19 +504,7 @@ def verify_characterization(
     """Check, for every n up to n_max, that R_n equals C_n, the permutations
     whose recording tableau is the symmetric hook with the first-row
     property, and report the least word of R_n ^ C_n, if any."""
-    _check_count_range(n_max, max_n)
-
-    def first_failure(n: int) -> str | None:
-        recording = [q for q in _hook_tableaux(n) if satisfies_first_row_property(q)]
-        disagree = set(_reverse_stable_members(n, workers)) ^ set(_inverse_images(recording))
-        if disagree:
-            return "first counterexample: " + " ".join(map(str, min(disagree)))
-        return None
-
-    return [
-        _report("characterization", n, workers, lambda: _holds(first_failure(n)))
-        for n in range(1, n_max + 1)
-    ]
+    return [claim() for claim in verify(["characterization"], n_max, workers=workers, max_n=max_n)]
 
 
 def verify_symmetry_relations(n: int, *, workers: int = 1) -> VerificationReport:
@@ -473,12 +512,8 @@ def verify_symmetry_relations(n: int, *, workers: int = 1) -> VerificationReport
     size n."""
     if not 1 <= n <= SYMMETRY_MAX_N:
         raise ValueError(f"n={n} outside the supported range [1, {SYMMETRY_MAX_N}]")
-    return _report(
-        "symmetry_relations",
-        n,
-        workers,
-        lambda: _holds(_first_failure("_relations_failure", n, workers)),
-    )
+    failure = partial(_first_failure, "_relations_failure", n, workers)
+    return _report("symmetry_relations", n, workers, lambda: _holds(failure()))
 
 
 def verify_phi_theta(n: int, *, workers: int = 1) -> VerificationReport:
@@ -510,16 +545,5 @@ def verify_R_transport(
     if n < 1:
         raise ValueError(f"size must be positive, got {n}")
     _check_count_range(n + 2, max_n)
-
-    def measure() -> tuple[bool, str]:
-        members = _reverse_stable_members(n + 2, workers)
-        for entries in members:
-            v = Permutation._trusted(entries)
-            projected = theta(v)
-            if not same_recording_tableau(projected.entries, projected.entries[::-1]):
-                return False, f"projection of {v} leaves the reverse-stable set"
-            if phi(projected, v.entries[0], v.entries[-1]) != v:
-                return False, f"endpoint lift does not reassemble {v}"
-        return True, f"checked {len(members)} members"
-
-    return _report("r_transport", n, workers, measure)
+    members = partial(_reverse_stable_members, n + 2, workers)
+    return _report("r_transport", n, workers, lambda: _transport(members()))

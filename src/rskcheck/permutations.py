@@ -55,7 +55,7 @@ class Permutation:
 
     @classmethod
     def parse(cls, text: str) -> "Permutation":
-        """Parse "5 2 3 1 4", "5,2,3,1,4", or the compact form "52314" (n <= 9)."""
+        """Parse "5 2 3 1 4", "5,2,3,1,4", or the compact ASCII form "52314" (n <= 9)."""
         s = text.strip()
         if not s:
             raise ValueError("empty permutation text")
@@ -67,7 +67,7 @@ class Permutation:
                 except ValueError:
                     raise ValueError(f"invalid integer {token!r} in permutation text") from None
             return cls(values)
-        if s.isdigit():
+        if s.isascii() and s.isdigit():
             return cls(int(ch) for ch in s)
         raise ValueError(f"cannot parse permutation from {text!r}")
 

@@ -238,9 +238,7 @@ class TestVerifyCommand:
             workers=1,
         )
 
-        monkeypatch.setattr(
-            cli.enumeration, "verify_count_theorem", lambda *a, **k: [failing]
-        )
+        monkeypatch.setattr(enumeration, "verify", lambda *a, **k: [lambda: failing])
         out_file = tmp_path / "reports.jsonl"
         code, out, _ = run_cli(
             capsys, "verify", "--count", "--n-max", "3", "--out", str(out_file)
@@ -252,12 +250,11 @@ class TestVerifyCommand:
     def test_suite_caps_come_from_the_library(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(enumeration, "SYMMETRY_MAX_N", 2)
         monkeypatch.setattr(enumeration, "PHI_THETA_MAX_N", 1)
-        monkeypatch.setattr(enumeration, "TRANSPORT_MAX_N", 3)
         out_file = tmp_path / "reports.jsonl"
         code, out, _ = run_cli(
             capsys,
             "verify", "--symmetry", "--phi-theta", "--transport",
-            "--n-max", "9", "--json", "--out", str(out_file),
+            "--n-max", "5", "--json", "--out", str(out_file),
         )
         assert code == 0
         assert [(r["check"], r["n"]) for r in map(json.loads, out.splitlines())] == [
@@ -268,6 +265,65 @@ class TestVerifyCommand:
             ("r_transport", 2),
             ("r_transport", 3),
         ]
+
+    def test_each_R_n_is_built_once_per_run(self, capsys, tmp_path, monkeypatch):
+        built = []
+        real = enumeration._reverse_stable_members
+
+        def recorder(n, workers):
+            built.append(n)
+            return real(n, workers)
+
+        monkeypatch.setattr(enumeration, "_reverse_stable_members", recorder)
+        out_file = tmp_path / "reports.jsonl"
+        code, _, _ = run_cli(
+            capsys, "verify", "--all", "--n-max", "9", "--out", str(out_file)
+        )
+        assert code == 0
+        assert sorted(built) == list(range(1, 10))
+
+    def test_range_checks_come_before_any_sweep(self, capsys, tmp_path, monkeypatch):
+        swept = []
+        real = enumeration._sweep
+        monkeypatch.setattr(
+            enumeration, "_sweep", lambda *args: swept.append(args) or real(*args)
+        )
+        out_file = tmp_path / "reports.jsonl"
+        argv = ["verify", "--symmetry", "--transport", "--n-max", "9", "--max-n", "5"]
+        code, out, err = run_cli(capsys, *argv, "--out", str(out_file))
+        assert (code, out, err) == (2, "", "error: n=6 outside the configured range [1, 5]\n")
+        assert swept == []
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_reports_stream_until_interrupted(self, capsys, tmp_path, monkeypatch, as_json):
+        def interrupt(n, *, workers=1):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(enumeration, "verify_phi_theta", interrupt)
+        out_file = tmp_path / "reports.jsonl"
+        try:
+            code, out, err = run_cli(
+                capsys,
+                "verify", "--count", "--phi-theta", "--n-max", "2", "--workers", "1",
+                "--out", str(out_file), *(["--json"] if as_json else []),
+            )
+        except KeyboardInterrupt:
+            pytest.fail("KeyboardInterrupt escaped cli.main")
+        assert (code, err) == (130, "error: interrupted\n")
+        lines = out_file.read_text().splitlines()
+        assert [(r["check"], r["n"]) for r in map(json.loads, lines)] == [
+            ("count_R", 1),
+            ("count_R", 2),
+        ]
+        assert out.endswith("\n")
+        if as_json:
+            assert out.splitlines() == lines
+        else:
+            assert [line.split()[:3] for line in out.splitlines()] == [
+                ["PASS", "count_R", "n=1"],
+                ["PASS", "count_R", "n=2"],
+            ]
 
 
 class TestErrorPaths:
@@ -327,6 +383,20 @@ class TestErrorPaths:
     def test_tableau_source_is_a_directory_exit_2(self, capsys, tmp_path, command):
         message = f"cannot read tableau file {tmp_path}: {os.strerror(errno.EISDIR)}"
         self.assert_exit_2(capsys, [command, str(tmp_path)], message)
+
+    @pytest.mark.parametrize("target", ["missing", "directory"])
+    def test_report_file_cannot_be_opened_exit_2(self, capsys, tmp_path, monkeypatch, target):
+        built = []
+        monkeypatch.setattr(
+            enumeration, "_reverse_stable_members", lambda n, workers: built.append(n)
+        )
+        if target == "missing":
+            out, reason = tmp_path / "no-such-dir" / "x.jsonl", os.strerror(errno.ENOENT)
+        else:
+            out, reason = tmp_path, os.strerror(errno.EISDIR)
+        message = f"cannot open report file {out}: {reason}"
+        self.assert_exit_2(capsys, ["verify", "--count", "--n-max", "3", "--out", str(out)], message)
+        assert built == []
 
     def test_missing_tableau_file(self, capsys):
         code, _, err = run_cli(capsys, "evac", "no-such-file.json")

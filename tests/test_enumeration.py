@@ -7,6 +7,7 @@ import pytest
 
 from rskcheck import enumeration
 from rskcheck.enumeration import (
+    SUITES,
     VerificationReport,
     append_reports,
     count_H,
@@ -16,6 +17,7 @@ from rskcheck.enumeration import (
     count_R_formula,
     list_set,
     symmetric_hook_shape,
+    verify,
     verify_characterization,
     verify_count_theorem,
     verify_phi_theta,
@@ -352,6 +354,62 @@ class TestVerifyRTransport:
     def test_range(self):
         with pytest.raises(ValueError, match="outside the configured range"):
             verify_R_transport(10)
+
+
+class TestVerifyEngine:
+    def record_builds(self, monkeypatch):
+        built = []
+        real = enumeration._reverse_stable_members
+
+        def recorder(n, workers):
+            built.append(n)
+            return real(n, workers)
+
+        monkeypatch.setattr(enumeration, "_reverse_stable_members", recorder)
+        return built
+
+    def test_claims_in_suite_order_then_by_size(self, monkeypatch):
+        built = self.record_builds(monkeypatch)
+        reports = [claim() for claim in verify(reversed(SUITES), 4)]
+        assert all(r.passed for r in reports)
+        assert [(r.check, r.n) for r in reports] == [
+            *(("count_R", n) for n in range(1, 5)),
+            *(("characterization", n) for n in range(1, 5)),
+            *(("symmetry_relations", n) for n in range(1, 5)),
+            *(("phi_theta", n) for n in range(1, 5)),
+            ("r_transport", 1),
+            ("r_transport", 2),
+        ]
+        assert sorted(built) == [1, 2, 3, 4]
+
+    def test_planning_runs_no_claim(self, monkeypatch):
+        built = self.record_builds(monkeypatch)
+        # count and characterization 11 each, symmetry 7, phi/theta 6,
+        # transport sources 1..9
+        assert len(verify(SUITES, 11)) == 44
+        assert built == []
+
+    def test_memo_lives_for_one_plan(self, monkeypatch):
+        built = self.record_builds(monkeypatch)
+        for _ in range(2):
+            [claim() for claim in verify(["count", "transport"], 3)]
+        assert sorted(built) == [1, 1, 2, 2, 3, 3]
+
+    def test_unknown_suite_rejected(self):
+        with pytest.raises(ValueError, match="unknown suite 'bogus'"):
+            verify(["count", "bogus"], 3)
+
+    @pytest.mark.parametrize(
+        "suites, message",
+        [
+            (["count", "transport"], "n=9 outside"),
+            (["symmetry", "transport"], "n=6 outside"),
+            (["characterization"], "n=9 outside"),
+        ],
+    )
+    def test_first_range_error_in_suite_order(self, suites, message):
+        with pytest.raises(ValueError, match=message):
+            verify(suites, 9, max_n=5)
 
 
 class TestDeterminismAcrossWorkers:

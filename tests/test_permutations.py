@@ -68,6 +68,8 @@ class TestParsing:
     def test_garbage_rejected(self):
         with pytest.raises(ValueError, match="invalid integer"):
             Permutation.parse("1 two 3")
+        with pytest.raises(ValueError, match="cannot parse permutation from '²'"):
+            Permutation.parse("²")
 
     def test_canonical_output_is_space_separated(self):
         assert str(Permutation([5, 2, 3, 1, 4])) == "5 2 3 1 4"
