@@ -4,9 +4,8 @@ counts, memberships, and machine-readable verification reports.
 R_n is listed by one pruned search, `_reverse_stable`: it builds each
 word from both ends, inserts in lockstep, and drops a subtree at the
 first recording step that differs; every word it completes is judged by
-the definitional `same_recording_tableau`. Its work is split across
-worker processes by first letter, and the members are sorted, so they
-come out in rank order.
+the definitional `same_recording_tableau`. Its members are sorted, so
+they come out in rank order.
 
 H_n and C_n, whose recording tableaux are the symmetric hooks and those
 of them with the first-row property, are not searched: by the RSK
@@ -14,9 +13,13 @@ bijection they are the `inverse_rsk` images of their tableau pairs. The
 characterization is the set equality R_n = C_n. The R side never looks
 at a shape, and the C side never compares a word with its reverse.
 
-The relations and phi/theta suites scan S_n with `_sweep`, one contiguous
-rank interval per worker process, and concatenate the results in rank
-order, so, as for R_n, no result depends on the worker count.
+The relations and phi/theta suites scan S_n with `_sweep`, which calls a
+predicate on each word and keeps its truthy results.
+
+Pooled work has one shape: one task per first letter, run by
+`_by_first_letter` on a pool of at most `workers` processes. The tasks
+and their order do not depend on the worker count, and letter order is
+rank order, so no result does either.
 
 `verify` plans a verification run, checks every range before any work
 starts, and shares one memo of R_n between the count, characterization
@@ -30,12 +33,13 @@ import os
 import time
 from dataclasses import asdict, dataclass
 from functools import cache, partial
+from itertools import permutations
 from math import comb, factorial
 from pathlib import Path
 from typing import Callable, Iterable, Literal
 
 from .evacuation import evacuation
-from .permutations import Permutation, next_permutation, unrank
+from .permutations import Permutation
 from .reverse_maps import is_in_M, phi, satisfies_first_row_property, theta
 from .rsk import TableauPair, _insert, _uninsert, inverse_rsk, rsk, same_recording_tableau
 from .tableaux import Shape, StandardYoungTableau, enumerate_syt
@@ -137,16 +141,7 @@ def symmetric_hook_shape(n: int) -> Shape:
 
 
 # ---------------------------------------------------------------------------
-# rank-interval scanning
-
-
-def _chunk_ranks(total: int, workers: int) -> list[tuple[int, int]]:
-    pieces = min(workers, total)
-    base, extra = divmod(total, pieces)
-    bounds = [0]
-    for i in range(pieces):
-        bounds.append(bounds[-1] + base + (1 if i < extra else 0))
-    return [(bounds[i], bounds[i + 1]) for i in range(pieces)]
+# first-letter tasks
 
 
 def _check_workers(workers: int) -> None:
@@ -154,68 +149,49 @@ def _check_workers(workers: int) -> None:
         raise ValueError(f"workers must be at least 1, got {workers}")
 
 
-def _run_over_ranks(
-    worker: Callable, n: int, workers: int, total: int | None = None
-) -> list:
-    """Run worker on (n, lo, hi) for each of `workers` contiguous pieces
-    [lo, hi) of range(total), the ranks of S_n unless total says otherwise,
-    and return the results in piece order."""
+def _by_first_letter(worker: Callable, n: int, workers: int) -> list:
+    """Run worker on (n, a) for each first letter a = 1..n and return the
+    results in letter order, which is rank order."""
     _check_workers(workers)
-    if total is None:
-        total = factorial(n)
-    argses = [(n, lo, hi) for lo, hi in _chunk_ranks(total, workers)]
-    if len(argses) == 1:
-        return [worker(argses[0])]
+    tasks = [(n, a) for a in range(1, n + 1)]
+    if workers == 1 or n == 1:
+        return [worker(task) for task in tasks]
     # Imported here so that commands which never sweep in parallel do not
     # pay for loading the process pool.
     from concurrent.futures import ProcessPoolExecutor
 
-    # The chunks, and so every result, follow the requested worker count;
-    # the pool never holds more processes than there are chunks or CPUs.
-    with ProcessPoolExecutor(max_workers=min(len(argses), os.cpu_count() or 1)) as pool:
-        return list(pool.map(worker, argses))
+    # The pool never holds more processes than requested, letters or CPUs.
+    with ProcessPoolExecutor(max_workers=min(workers, n, os.cpu_count() or 1)) as pool:
+        return list(pool.map(worker, tasks))
 
 
-def _sweep(test: str, first_only: bool, args: tuple[int, int, int]) -> list:
-    """Scan ranks [start, stop) of S_n, calling the predicate named `test`
-    once per permutation on the word and its reverse.
-
-    Truthy results are collected in rank order: the word itself (as a
-    tuple) for True, anything else as returned. With first_only the scan
-    stops at its first truthy result. The predicate is looked up in this
-    module's globals when the scan starts, so a replacement installed
-    there reaches the scans run by pool workers too.
-    """
-    n, start, stop = args
-    predicate = globals()[test]
-    w = list(unrank(n, start).entries)
+def _sweep(predicate: Callable, first_only: bool, task: tuple[int, int]) -> list:
+    """Call predicate on each word of S_n whose first letter is a, in rank
+    order, and collect its truthy results; with first_only, stop at the
+    first. Pass a module-level predicate, so that it reaches pool workers
+    by name."""
+    n, a = task
+    rest = [b for b in range(1, n + 1) if b != a]
     found = []
-    for _ in range(stop - start):
-        result = predicate(w, w[::-1])
+    for tail in permutations(rest):
+        result = predicate((a, *tail))
         if result:
-            found.append(tuple(w) if result is True else result)
+            found.append(result)
             if first_only:
                 break
-        next_permutation(w)
     return found
 
 
-def _collect(test: str, n: int, workers: int) -> list:
-    """Every truthy result of the named predicate over S_n, in rank order."""
-    chunks = _run_over_ranks(partial(_sweep, test, False), n, workers)
-    return [found for chunk in chunks for found in chunk]
-
-
-def _first_failure(check: str, n: int, workers: int) -> str | None:
-    """The first failure of the named check over S_n in rank order."""
-    for chunk in _run_over_ranks(partial(_sweep, check, True), n, workers):
-        if chunk:
-            return chunk[0]
+def _first_failure(check: Callable, n: int, workers: int) -> str | None:
+    """The first failure of check over S_n in rank order."""
+    for found in _by_first_letter(partial(_sweep, check, True), n, workers):
+        if found:
+            return found[0]
     return None
 
 
-def _reverse_stable(args: tuple[int, int, int]) -> list[tuple[int, ...]]:
-    """The members of R_n whose first letter lies in (lo, hi], unordered.
+def _reverse_stable(task: tuple[int, int]) -> list[tuple[int, ...]]:
+    """The members of R_n whose first letter is `first`, unordered.
 
     A backtracking search from both ends: depth k fixes w_k and then
     w_{n+1-k}, bumps w_k into the forward rows and w_{n+1-k} into the
@@ -223,11 +199,10 @@ def _reverse_stable(args: tuple[int, int, int]) -> list[tuple[int, ...]]:
     w_k's. Step k of Q(w) and of Q(w^r) is compared there, so a subtree
     dropped at a mismatch holds no member. Each step is undone in place by
     a reverse bump. For odd n the middle letter is forced. Every completed
-    word is judged by the predicate named same_recording_tableau, looked up
-    in this module's globals as `_sweep` does.
+    word is judged by same_recording_tableau, the module global at the
+    time of the search.
     """
-    n, lo, hi = args
-    verdict = globals()["same_recording_tableau"]
+    n, first = task
     half = n // 2
     w = [0] * n
     forward: list[list[int]] = []
@@ -238,11 +213,11 @@ def _reverse_stable(args: tuple[int, int, int]) -> list[tuple[int, ...]]:
         if k == half:
             if free:
                 w[half] = free[0]
-            if verdict(w, w[::-1]):
+            if same_recording_tableau(w, w[::-1]):
                 found.append(tuple(w))
             return
         for i, a in enumerate(free):
-            if k == 0 and not lo < a <= hi:
+            if k == 0 and a != first:
                 continue
             rest = free[:i] + free[i + 1 :]
             w[k] = a
@@ -260,9 +235,9 @@ def _reverse_stable(args: tuple[int, int, int]) -> list[tuple[int, ...]]:
 
 
 def _reverse_stable_members(n: int, workers: int) -> list[tuple[int, ...]]:
-    """R_n in rank order, its first letters split across the workers."""
-    chunks = _run_over_ranks(_reverse_stable, n, workers, total=n)
-    return sorted(member for chunk in chunks for member in chunk)
+    """R_n in rank order, one search task per first letter."""
+    per_letter = _by_first_letter(_reverse_stable, n, workers)
+    return sorted(member for members in per_letter for member in members)
 
 
 def _hook_tableaux(n: int) -> list[StandardYoungTableau]:
@@ -279,10 +254,10 @@ def _inverse_images(recording: list[StandardYoungTableau]) -> list[tuple[int, ..
     return sorted(inverse_rsk(pair).entries for pair in pairs)
 
 
-def _relations_failure(word: list[int], reverse: list[int]) -> str | None:
+def _relations_failure(word: tuple[int, ...]) -> str | None:
     """Check the eight tableau-pair identities tying a permutation's
     reverse, complement, and inverse to transposes and evacuations."""
-    w = Permutation._trusted(tuple(word))
+    w = Permutation._trusted(word)
     pair = rsk(w)
     p, q = pair.p, pair.q
     ep, eq = evacuation(p), evacuation(q)
@@ -306,10 +281,10 @@ def _relations_failure(word: list[int], reverse: list[int]) -> str | None:
     return None
 
 
-def _phi_lifts(word: list[int], reverse: list[int]) -> str | list[tuple[int, ...]]:
+def _phi_lifts(word: tuple[int, ...]) -> str | list[tuple[int, ...]]:
     """The entries of every lift of a permutation two sizes up, or the
     first lift that projection fails to undo."""
-    w = Permutation._trusted(tuple(word))
+    w = Permutation._trusted(word)
     m = w.n + 2
     images = []
     for a in range(1, m + 1):
@@ -323,8 +298,8 @@ def _phi_lifts(word: list[int], reverse: list[int]) -> str | list[tuple[int, ...
     return images
 
 
-def _theta_equivariance_failure(word: list[int], reverse: list[int]) -> str | None:
-    v = Permutation._trusted(tuple(word))
+def _theta_equivariance_failure(word: tuple[int, ...]) -> str | None:
+    v = Permutation._trusted(word)
     if theta(v.reverse()) != theta(v).reverse():
         return f"projection does not commute with reverse on {v}"
     if theta(v.complement()) != theta(v).complement():
@@ -389,6 +364,7 @@ def list_set(
         raise ValueError(
             f"listing is capped at n={list_max} (counting is still allowed)"
         )
+    _check_count_range(n, max_n)
     if which == "R":
         members = _reverse_stable_members(n, workers)
     else:
@@ -512,7 +488,7 @@ def verify_symmetry_relations(n: int, *, workers: int = 1) -> VerificationReport
     size n."""
     if not 1 <= n <= SYMMETRY_MAX_N:
         raise ValueError(f"n={n} outside the supported range [1, {SYMMETRY_MAX_N}]")
-    failure = partial(_first_failure, "_relations_failure", n, workers)
+    failure = partial(_first_failure, _relations_failure, n, workers)
     return _report("symmetry_relations", n, workers, lambda: _holds(failure()))
 
 
@@ -525,13 +501,14 @@ def verify_phi_theta(n: int, *, workers: int = 1) -> VerificationReport:
 
     def first_failure() -> str | None:
         images: set[tuple[int, ...]] = set()
-        for lifts in _collect("_phi_lifts", n, workers):
-            if isinstance(lifts, str):
-                return lifts
-            images.update(lifts)
+        for found in _by_first_letter(partial(_sweep, _phi_lifts, False), n, workers):
+            for lifts in found:
+                if isinstance(lifts, str):
+                    return lifts
+                images.update(lifts)
         if len(images) != factorial(n + 2):
             return f"lift images cover {len(images)} of {factorial(n + 2)} permutations"
-        return _first_failure("_theta_equivariance_failure", n + 2, workers)
+        return _first_failure(_theta_equivariance_failure, n + 2, workers)
 
     return _report("phi_theta", n, workers, lambda: _holds(first_failure()))
 

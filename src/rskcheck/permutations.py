@@ -62,10 +62,12 @@ class Permutation:
         if any(ch in s for ch in " ,\t"):
             values = []
             for token in s.replace(",", " ").split():
-                try:
-                    values.append(int(token))
-                except ValueError:
-                    raise ValueError(f"invalid integer {token!r} in permutation text") from None
+                # One optional sign, then ASCII digits: int() alone would
+                # also read Unicode digits and underscores.
+                digits = token[1:] if token[0] in "+-" else token
+                if not (digits.isascii() and digits.isdigit()):
+                    raise ValueError(f"invalid integer {token!r} in permutation text")
+                values.append(int(token))
             return cls(values)
         if s.isascii() and s.isdigit():
             return cls(int(ch) for ch in s)

@@ -408,6 +408,29 @@ class TestErrorPaths:
         assert code == 2
         assert "outside the configured range" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["enumerate", "--set", "R", "--n", "14", "--list", "--list-max", "14"],
+             "n=14 outside the configured range [1, 11]"),
+            (["enumerate", "--set", "H", "--n", "23", "--list", "--list-max", "30"],
+             "n=23 outside the configured range [1, 11]"),
+            (["enumerate", "--set", "R", "--n", "6", "--list", "--max-n", "5"],
+             "n=6 outside the configured range [1, 5]"),
+        ],
+    )
+    def test_listing_out_of_range_n_exit_2(self, capsys, monkeypatch, argv, message):
+        searched = []
+        monkeypatch.setattr(
+            enumeration, "_reverse_stable_members", lambda n, workers: searched.append(n)
+        )
+        self.assert_exit_2(capsys, argv, message)
+        assert searched == []
+
+    def test_non_ascii_separated_permutation_exit_2(self, capsys):
+        message = "invalid integer '３' in permutation text"
+        self.assert_exit_2(capsys, ["theta", "３ １ ２ ５ ４"], message)
+
     def test_invalid_phi_parameters(self, capsys):
         code, _, err = run_cli(capsys, "phi", "--a", "2", "--b", "2", "1", "--json")
         assert code == 2

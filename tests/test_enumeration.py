@@ -2,6 +2,7 @@ import concurrent.futures
 import functools
 import json
 import os
+import re
 
 import pytest
 
@@ -140,8 +141,8 @@ class TestCounts:
 
 @functools.cache
 def brute_force_R(n):
-    """R_n by the rank scan: the definitional test on every permutation."""
-    return enumeration._collect("same_recording_tableau", n, 1)
+    """R_n by the definitional test on every permutation, in rank order."""
+    return [w.entries for w in iterate_sn(n) if is_in_R(w)]
 
 
 class TestPrunedSweepAgainstBruteForce:
@@ -215,7 +216,7 @@ class TestPoolSize:
         [
             (2, 64, [2, 2, 2, 2]),  # the pool never outgrows the CPUs
             (None, 64, [1, 1, 1, 1]),  # unknown CPU count: one process
-            (8, 3, [2, 3, 3, 3]),  # nor the chunks: S_2 has two ranks
+            (8, 3, [2, 3, 3, 3]),  # nor the letters: n = 2 has two
         ],
     )
     def test_pool_capped_at_chunks_and_cpus(self, monkeypatch, cpus, workers, expected):
@@ -223,16 +224,27 @@ class TestPoolSize:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         reports = verify_count_theorem(5, workers=workers)
-        # S_1 is one chunk and runs without a pool
+        # n = 1 is one task and runs without a pool
         assert SerialPool.sizes == expected
         assert [r.observed for r in reports] == [1, 0, 4, 0, 24]
         assert all(r.passed and r.workers == workers for r in reports)
 
-    def test_chunking_follows_the_requested_workers(self, monkeypatch):
+    def test_one_task_per_first_letter(self, monkeypatch):
+        monkeypatch.setattr(SerialPool, "sizes", [])
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        chunks = enumeration._run_over_ranks(lambda args: args, 4, 5)
-        assert chunks == [(4, 0, 5), (4, 5, 10), (4, 10, 15), (4, 15, 20), (4, 20, 24)]
+        tasks = enumeration._by_first_letter(lambda task: task, 4, 5)
+        assert tasks == [(4, 1), (4, 2), (4, 3), (4, 4)]
+        assert SerialPool.sizes == [2]
+
+
+class TestSweep:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_first_letter_blocks_concatenate_to_rank_order(self, n):
+        visited = []
+        for a in range(1, n + 1):
+            enumeration._sweep(visited.append, False, (n, a))
+        assert visited == [w.entries for w in iterate_sn(n)]
 
 
 class TestListSet:
@@ -277,6 +289,27 @@ class TestListSet:
 
     def test_listing_cap_override(self):
         assert len(list_set("R", 9, list_max=9, workers=2)) == 1120
+
+    @pytest.mark.parametrize(
+        "which, n, list_max, max_n, message",
+        [
+            ("R", 14, 14, 11, "n=14 outside the configured range [1, 11]"),
+            ("H", 23, 30, 11, "n=23 outside the configured range [1, 11]"),
+            ("R", 6, 8, 5, "n=6 outside the configured range [1, 5]"),
+            ("R", 0, 8, 5, "size must be positive, got 0"),
+            ("H", 12, 8, 11, "listing is capped at n=8"),
+        ],
+    )
+    def test_listing_stays_in_the_count_range(
+        self, monkeypatch, which, n, list_max, max_n, message
+    ):
+        searched = []
+        monkeypatch.setattr(
+            enumeration, "_reverse_stable_members", lambda n, workers: searched.append(n)
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            list_set(which, n, list_max=list_max, max_n=max_n)
+        assert searched == []
 
     def test_unknown_set(self):
         with pytest.raises(ValueError, match="unknown set"):

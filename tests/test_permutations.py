@@ -70,6 +70,19 @@ class TestParsing:
             Permutation.parse("1 two 3")
         with pytest.raises(ValueError, match="cannot parse permutation from '²'"):
             Permutation.parse("²")
+        # a token is one optional sign and ASCII digits; int() alone reads more
+        for text, token in [
+            ("３ １ ２ ５ ４", "３"),
+            ("1_0 2 3 4 5 6 7 8 9 1", "1_0"),
+            ("1 ² 2", "²"),
+            ("+-1 2", "+-1"),
+            ("1, 2, ٣", "٣"),
+        ]:
+            with pytest.raises(ValueError) as excinfo:
+                Permutation.parse(text)
+            assert str(excinfo.value) == f"invalid integer {token!r} in permutation text"
+        with pytest.raises(ValueError, match="not a positive integer"):
+            Permutation.parse("-1 2")
 
     def test_canonical_output_is_space_separated(self):
         assert str(Permutation([5, 2, 3, 1, 4])) == "5 2 3 1 4"
