@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success (and on verification passes), 1 when any emitted
 verification report fails or a membership check is negative, 2 on usage,
-parse, or range errors, 130 when interrupted (Ctrl-C); `verify` keeps the
-reports that finished, on stdout and in its report file.
+parse, or range errors, 3 when a search worker process dies, 130 when
+interrupted (Ctrl-C). On the last two, `verify` keeps the reports that
+finished, on stdout and in its report file.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .tableaux import StandardYoungTableau
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+WORKER_DIED = 3
 INTERRUPTED = 130
 
 
@@ -342,6 +344,9 @@ def main(argv: list[str] | None = None) -> int:
             print(json.dumps({"error": str(exc)}, separators=(",", ":")))
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except ChildProcessError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return WORKER_DIED
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return INTERRUPTED

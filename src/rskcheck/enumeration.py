@@ -13,17 +13,20 @@ bijection they are the `inverse_rsk` images of their tableau pairs. The
 characterization is the set equality R_n = C_n. The R side never looks
 at a shape, and the C side never compares a word with its reverse.
 
-The relations and phi/theta suites scan S_n with `_sweep`, which calls a
-predicate on each word and keeps its truthy results.
+The relations and phi/theta suites are plain loops over S_n in rank
+order, run in this process. The relations suite inserts each word once and
+evacuates each tableau once, and then checks the eight relations by
+lookup.
 
-Pooled work has one shape: one task per first letter, run by
-`_by_first_letter` on a pool of at most `workers` processes. The tasks
-and their order do not depend on the worker count, and letter order is
-rank order, so no result does either.
+Only the R search is pooled: one task per first letter, on a pool of at
+most `workers` processes. The tasks and their order do not depend on the
+worker count, so no result does either. A worker that dies ends the
+search with ChildProcessError.
 
-`verify` plans a verification run, checks every range before any work
-starts, and shares one memo of R_n between the count, characterization
-and transport claims, so a run builds each R_n once.
+`verify` plans a verification run, checks every range and the worker
+count before any work starts, and shares one memo of R_n between the
+count, characterization and transport claims, so a run builds each R_n
+once.
 """
 
 from __future__ import annotations
@@ -141,53 +144,12 @@ def symmetric_hook_shape(n: int) -> Shape:
 
 
 # ---------------------------------------------------------------------------
-# first-letter tasks
+# the R search and the n! scans
 
 
 def _check_workers(workers: int) -> None:
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-
-
-def _by_first_letter(worker: Callable, n: int, workers: int) -> list:
-    """Run worker on (n, a) for each first letter a = 1..n and return the
-    results in letter order, which is rank order."""
-    _check_workers(workers)
-    tasks = [(n, a) for a in range(1, n + 1)]
-    if workers == 1 or n == 1:
-        return [worker(task) for task in tasks]
-    # Imported here so that commands which never sweep in parallel do not
-    # pay for loading the process pool.
-    from concurrent.futures import ProcessPoolExecutor
-
-    # The pool never holds more processes than requested, letters or CPUs.
-    with ProcessPoolExecutor(max_workers=min(workers, n, os.cpu_count() or 1)) as pool:
-        return list(pool.map(worker, tasks))
-
-
-def _sweep(predicate: Callable, first_only: bool, task: tuple[int, int]) -> list:
-    """Call predicate on each word of S_n whose first letter is a, in rank
-    order, and collect its truthy results; with first_only, stop at the
-    first. Pass a module-level predicate, so that it reaches pool workers
-    by name."""
-    n, a = task
-    rest = [b for b in range(1, n + 1) if b != a]
-    found = []
-    for tail in permutations(rest):
-        result = predicate((a, *tail))
-        if result:
-            found.append(result)
-            if first_only:
-                break
-    return found
-
-
-def _first_failure(check: Callable, n: int, workers: int) -> str | None:
-    """The first failure of check over S_n in rank order."""
-    for found in _by_first_letter(partial(_sweep, check, True), n, workers):
-        if found:
-            return found[0]
-    return None
 
 
 def _reverse_stable(task: tuple[int, int]) -> list[tuple[int, ...]]:
@@ -235,8 +197,24 @@ def _reverse_stable(task: tuple[int, int]) -> list[tuple[int, ...]]:
 
 
 def _reverse_stable_members(n: int, workers: int) -> list[tuple[int, ...]]:
-    """R_n in rank order, one search task per first letter."""
-    per_letter = _by_first_letter(_reverse_stable, n, workers)
+    """R_n in rank order, one search task per first letter, run in this
+    process for one worker and otherwise on a pool."""
+    _check_workers(workers)
+    tasks = [(n, a) for a in range(1, n + 1)]
+    if workers == 1 or n == 1:
+        per_letter = map(_reverse_stable, tasks)
+    else:
+        # Imported here so that commands which never search in parallel do
+        # not pay for loading the process pool.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        # The pool never holds more processes than requested, letters or CPUs.
+        try:
+            with ProcessPoolExecutor(max_workers=min(workers, n, os.cpu_count() or 1)) as pool:
+                per_letter = list(pool.map(_reverse_stable, tasks))
+        except BrokenProcessPool:
+            raise ChildProcessError("a search worker ended abruptly") from None
     return sorted(member for members in per_letter for member in members)
 
 
@@ -254,56 +232,62 @@ def _inverse_images(recording: list[StandardYoungTableau]) -> list[tuple[int, ..
     return sorted(inverse_rsk(pair).entries for pair in pairs)
 
 
-def _relations_failure(word: tuple[int, ...]) -> str | None:
-    """Check the eight tableau-pair identities tying a permutation's
-    reverse, complement, and inverse to transposes and evacuations."""
-    w = Permutation._trusted(word)
-    pair = rsk(w)
-    p, q = pair.p, pair.q
-    ep, eq = evacuation(p), evacuation(q)
-    pt, qt = p.transpose(), q.transpose()
-    ept, eqt = ep.transpose(), eq.transpose()
-    wi = w.inverse()
-    cases = (
-        ("identity", w, p, q),
-        ("complement", w.complement(), ept, qt),
-        ("reverse", w.reverse(), pt, eqt),
-        ("reverse-complement", w.reverse().complement(), ep, eq),
-        ("inverse", wi, q, p),
-        ("inverse-complement", wi.complement(), eqt, pt),
-        ("inverse-reverse", wi.reverse(), qt, ept),
-        ("inverse-reverse-complement", wi.reverse().complement(), eq, ep),
-    )
-    for name, v, expect_p, expect_q in cases:
-        got = pair if v is w else rsk(v)
-        if got.p != expect_p or got.q != expect_q:
-            return f"{name} relation fails for {w}"
+def _relations_failure(n: int) -> str | None:
+    """The first word of S_n, in rank order, for which one of the eight
+    tableau-pair identities tying a permutation's reverse, complement, and
+    inverse to transposes and evacuations fails. Each word is inserted once
+    and each tableau evacuated once."""
+    pairs = {word: rsk(Permutation._trusted(word)) for word in permutations(range(1, n + 1))}
+    evacuate = cache(evacuation)
+    for word, pair in pairs.items():
+        w = Permutation._trusted(word)
+        p, q = pair.p, pair.q
+        ep, eq = evacuate(p), evacuate(q)
+        pt, qt = p.transpose(), q.transpose()
+        ept, eqt = ep.transpose(), eq.transpose()
+        wi = w.inverse()
+        cases = (
+            ("identity", w, p, q),
+            ("complement", w.complement(), ept, qt),
+            ("reverse", w.reverse(), pt, eqt),
+            ("reverse-complement", w.reverse().complement(), ep, eq),
+            ("inverse", wi, q, p),
+            ("inverse-complement", wi.complement(), eqt, pt),
+            ("inverse-reverse", wi.reverse(), qt, ept),
+            ("inverse-reverse-complement", wi.reverse().complement(), eq, ep),
+        )
+        for name, v, expect_p, expect_q in cases:
+            got = pairs[v.entries]
+            if got.p != expect_p or got.q != expect_q:
+                return f"{name} relation fails for {w}"
     return None
 
 
-def _phi_lifts(word: tuple[int, ...]) -> str | list[tuple[int, ...]]:
-    """The entries of every lift of a permutation two sizes up, or the
-    first lift that projection fails to undo."""
-    w = Permutation._trusted(word)
-    m = w.n + 2
-    images = []
-    for a in range(1, m + 1):
-        for b in range(1, m + 1):
-            if a == b:
-                continue
-            lifted = phi(w, a, b)
-            if theta(lifted) != w:
-                return f"projection fails to undo lift ({a},{b}) of {w}"
-            images.append(lifted.entries)
-    return images
-
-
-def _theta_equivariance_failure(word: tuple[int, ...]) -> str | None:
-    v = Permutation._trusted(word)
-    if theta(v.reverse()) != theta(v).reverse():
-        return f"projection does not commute with reverse on {v}"
-    if theta(v.complement()) != theta(v).complement():
-        return f"projection does not commute with complement on {v}"
+def _phi_theta_failure(n: int) -> str | None:
+    """The first failure, if any, of the phi/theta laws at size n: every
+    lift of every word of S_n is undone by projection, the lift images tile
+    S_{n+2}, and projection commutes with reverse and complement there."""
+    m = n + 2
+    images: set[tuple[int, ...]] = set()
+    for word in permutations(range(1, n + 1)):
+        w = Permutation._trusted(word)
+        for a in range(1, m + 1):
+            for b in range(1, m + 1):
+                if a == b:
+                    continue
+                lifted = phi(w, a, b)
+                if theta(lifted) != w:
+                    return f"projection fails to undo lift ({a},{b}) of {w}"
+                images.add(lifted.entries)
+    if len(images) != factorial(m):
+        return f"lift images cover {len(images)} of {factorial(m)} permutations"
+    for word in permutations(range(1, m + 1)):
+        v = Permutation._trusted(word)
+        projected = theta(v)
+        if theta(v.reverse()) != projected.reverse():
+            return f"projection does not commute with reverse on {v}"
+        if theta(v.complement()) != projected.complement():
+            return f"projection does not commute with complement on {v}"
     return None
 
 
@@ -449,6 +433,7 @@ def verify(
         _check_count_range(n_max, max_n)
     for n in sizes["transport"] if "transport" in chosen else ():
         _check_count_range(n + 2, max_n)
+    _check_workers(workers)
     members = cache(lambda n: _reverse_stable_members(n, workers))
     claims = {
         "count": lambda n: _report(
@@ -485,32 +470,22 @@ def verify_characterization(
 
 def verify_symmetry_relations(n: int, *, workers: int = 1) -> VerificationReport:
     """Check the eight tableau-pair identities for every permutation of
-    size n."""
+    size n. The check runs in this process; workers is only echoed."""
     if not 1 <= n <= SYMMETRY_MAX_N:
         raise ValueError(f"n={n} outside the supported range [1, {SYMMETRY_MAX_N}]")
-    failure = partial(_first_failure, _relations_failure, n, workers)
-    return _report("symmetry_relations", n, workers, lambda: _holds(failure()))
+    _check_workers(workers)
+    return _report("symmetry_relations", n, workers, lambda: _holds(_relations_failure(n)))
 
 
 def verify_phi_theta(n: int, *, workers: int = 1) -> VerificationReport:
     """Check that projection undoes every lift of every size-n permutation,
     that the lift images tile the symmetric group two sizes up exactly, and
-    that projection commutes with reverse and complement there."""
+    that projection commutes with reverse and complement there. The check
+    runs in this process; workers is only echoed."""
     if not 1 <= n <= PHI_THETA_MAX_N:
         raise ValueError(f"n={n} outside the supported range [1, {PHI_THETA_MAX_N}]")
-
-    def first_failure() -> str | None:
-        images: set[tuple[int, ...]] = set()
-        for found in _by_first_letter(partial(_sweep, _phi_lifts, False), n, workers):
-            for lifts in found:
-                if isinstance(lifts, str):
-                    return lifts
-                images.update(lifts)
-        if len(images) != factorial(n + 2):
-            return f"lift images cover {len(images)} of {factorial(n + 2)} permutations"
-        return _first_failure(_theta_equivariance_failure, n + 2, workers)
-
-    return _report("phi_theta", n, workers, lambda: _holds(first_failure()))
+    _check_workers(workers)
+    return _report("phi_theta", n, workers, lambda: _holds(_phi_theta_failure(n)))
 
 
 def verify_R_transport(

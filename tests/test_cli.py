@@ -20,6 +20,18 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+TEST_PROCESS = os.getpid()
+real_reverse_stable = enumeration._reverse_stable
+
+
+def die_in_a_pool_worker(task):
+    """The R search, except that a pool worker ends at once, as a crash
+    would. Defined at module level so that the pool can pickle it."""
+    if os.getpid() != TEST_PROCESS:
+        os._exit(1)
+    return real_reverse_stable(task)
+
+
 class TestRskCommand:
     def test_json(self, capsys):
         code, out, _ = run_cli(capsys, "rsk", "52314", "--json")
@@ -284,9 +296,9 @@ class TestVerifyCommand:
 
     def test_range_checks_come_before_any_sweep(self, capsys, tmp_path, monkeypatch):
         swept = []
-        real = enumeration._sweep
+        real = enumeration.permutations
         monkeypatch.setattr(
-            enumeration, "_sweep", lambda *args: swept.append(args) or real(*args)
+            enumeration, "permutations", lambda *args: swept.append(args) or real(*args)
         )
         out_file = tmp_path / "reports.jsonl"
         argv = ["verify", "--symmetry", "--transport", "--n-max", "9", "--max-n", "5"]
@@ -324,6 +336,24 @@ class TestVerifyCommand:
                 ["PASS", "count_R", "n=1"],
                 ["PASS", "count_R", "n=2"],
             ]
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_dead_worker_exit_3(self, capsys, tmp_path, monkeypatch, as_json):
+        monkeypatch.setattr(enumeration, "_reverse_stable", die_in_a_pool_worker)
+        out_file = tmp_path / "reports.jsonl"
+        code, out, err = run_cli(
+            capsys,
+            "verify", "--count", "--n-max", "3", "--workers", "2",
+            "--out", str(out_file), *(["--json"] if as_json else []),
+        )
+        # n = 1 is one task and runs in this process; n = 2 needs the pool
+        assert (code, err) == (3, "error: a search worker ended abruptly\n")
+        lines = out_file.read_text().splitlines()
+        assert [(r["check"], r["n"]) for r in map(json.loads, lines)] == [("count_R", 1)]
+        if as_json:
+            assert out.splitlines() == lines
+        else:
+            assert [line.split()[:3] for line in out.splitlines()] == [["PASS", "count_R", "n=1"]]
 
 
 class TestErrorPaths:

@@ -25,9 +25,10 @@ from rskcheck.enumeration import (
     verify_R_transport,
     verify_symmetry_relations,
 )
+from rskcheck.evacuation import evacuation
 from rskcheck.permutations import Permutation, iterate_sn
 from rskcheck.reverse_maps import is_in_H, is_in_M, is_in_R, satisfies_first_row_property
-from rskcheck.rsk import rsk
+from rskcheck.rsk import TableauPair, rsk
 from rskcheck.tableaux import count_syt
 
 
@@ -138,6 +139,24 @@ class TestCounts:
             list_set("H", 3, workers=workers)
         assert visited == []
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected_before_any_scan(self, monkeypatch, workers):
+        scanned = []
+        monkeypatch.setattr(
+            enumeration, "permutations", lambda *args: scanned.append(args) or iter(())
+        )
+        monkeypatch.setattr(enumeration, "_reverse_stable", lambda task: scanned.append(task) or [])
+        calls = [
+            lambda: verify(["symmetry"], 3, workers=workers),
+            lambda: verify(SUITES, 3, workers=workers),
+            lambda: verify_symmetry_relations(3, workers=workers),
+            lambda: verify_phi_theta(3, workers=workers),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+                call()
+        assert scanned == []
+
 
 @functools.cache
 def brute_force_R(n):
@@ -184,11 +203,80 @@ class TestInverseImagesAgainstBruteForce:
 
     def test_no_rank_scan(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(enumeration, "_sweep", lambda *args: calls.append(args) or [])
+        monkeypatch.setattr(
+            enumeration, "permutations", lambda *args: calls.append(args) or iter(())
+        )
         assert all(r.passed for r in verify_characterization(9))
         assert count_H(9) == 4900
         assert len(list_set("H", 8)) == 0
         assert calls == []
+
+
+def brute_force_relations(n):
+    """The first failure of the eight relations over S_n, by a fresh rsk
+    for every case of every word, through the module global as the
+    suite sees it."""
+    for w in iterate_sn(n):
+        pair = enumeration.rsk(w)
+        p, q = pair.p, pair.q
+        ep, eq = evacuation(p), evacuation(q)
+        wi = w.inverse()
+        cases = (
+            ("identity", w, p, q),
+            ("complement", w.complement(), ep.transpose(), q.transpose()),
+            ("reverse", w.reverse(), p.transpose(), eq.transpose()),
+            ("reverse-complement", w.reverse().complement(), ep, eq),
+            ("inverse", wi, q, p),
+            ("inverse-complement", wi.complement(), eq.transpose(), p.transpose()),
+            ("inverse-reverse", wi.reverse(), q.transpose(), ep.transpose()),
+            ("inverse-reverse-complement", wi.reverse().complement(), eq, ep),
+        )
+        for name, v, expect_p, expect_q in cases:
+            got = enumeration.rsk(v)
+            if got.p != expect_p or got.q != expect_q:
+                return f"{name} relation fails for {w}"
+    return None
+
+
+class TestSymmetryAgainstBruteForce:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_agrees_on_every_word(self, n):
+        report = verify_symmetry_relations(n)
+        assert report.passed
+        assert report.detail is None
+        assert brute_force_relations(n) is None
+
+    @pytest.mark.parametrize("word", ["2 3 1", "1 3 4 2", "4 1 3 2", "2 5 1 3 4"])
+    def test_same_first_failure_with_one_bad_insertion(self, monkeypatch, word):
+        bad = Permutation.parse(word)
+        real = enumeration.rsk
+
+        def swap_for_one_word(w):
+            pair = real(w)
+            return TableauPair(pair.q, pair.p) if w == bad else pair
+
+        monkeypatch.setattr(enumeration, "rsk", swap_for_one_word)
+        report = verify_symmetry_relations(bad.n)
+        assert not report.passed
+        assert report.detail == brute_force_relations(bad.n)
+
+    def test_call_counts(self, monkeypatch):
+        counts = {"rsk": 0, "evacuation": 0, "theta": 0}
+        for name in counts:
+            real = getattr(enumeration, name)
+
+            def recorder(*args, name=name, real=real):
+                counts[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(enumeration, name, recorder)
+        assert verify_symmetry_relations(6).passed
+        assert verify_phi_theta(5).passed
+        # 720 words, 76 standard tableaux of size 6, and at n = 5 one
+        # projection per lift plus three per word of S_7
+        assert counts["rsk"] == 720
+        assert counts["evacuation"] <= 76
+        assert counts["theta"] == 120 * 42 + 3 * 5040
 
 
 class SerialPool:
@@ -233,18 +321,19 @@ class TestPoolSize:
         monkeypatch.setattr(SerialPool, "sizes", [])
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        tasks = enumeration._by_first_letter(lambda task: task, 4, 5)
+        tasks = []
+        monkeypatch.setattr(enumeration, "_reverse_stable", lambda task: tasks.append(task) or [])
+        assert count_R(4, workers=5) == 0
         assert tasks == [(4, 1), (4, 2), (4, 3), (4, 4)]
         assert SerialPool.sizes == [2]
 
-
-class TestSweep:
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_first_letter_blocks_concatenate_to_rank_order(self, n):
-        visited = []
-        for a in range(1, n + 1):
-            enumeration._sweep(visited.append, False, (n, a))
-        assert visited == [w.entries for w in iterate_sn(n)]
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_n_factorial_suites_start_no_pool(self, monkeypatch, workers):
+        monkeypatch.setattr(SerialPool, "sizes", [])
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        claims = verify(["symmetry", "phi_theta"], 4, workers=workers)
+        assert all(claim().passed for claim in claims)
+        assert SerialPool.sizes == []
 
 
 class TestListSet:
