@@ -18,15 +18,19 @@ order, run in this process. The relations suite inserts each word once and
 evacuates each tableau once, and then checks the eight relations by
 lookup.
 
-Only the R search is pooled: one task per first letter, on a pool of at
-most `workers` processes. The tasks and their order do not depend on the
-worker count, so no result does either. A worker that dies ends the
-search with ChildProcessError.
+Only the R search is pooled. Its tasks are the pairs of end letters
+a < b; each searches the words with w_1 = a and w_n = b and adds the
+reverse of every member it finds. The tasks and their order do not
+depend on the worker count, so no result does either. A worker that dies
+ends the search with ChildProcessError.
 
 `verify` plans a verification run, checks every range and the worker
 count before any work starts, and shares one memo of R_n between the
 count, characterization and transport claims, so a run builds each R_n
-once.
+once. The plan's R searches share one pool of at most `workers`
+processes, started at the first and closed after the last; `count_R`,
+`list_set` and `verify_R_transport` called alone start a pool of their
+own.
 """
 
 from __future__ import annotations
@@ -152,8 +156,9 @@ def _check_workers(workers: int) -> None:
         raise ValueError(f"workers must be at least 1, got {workers}")
 
 
-def _reverse_stable(task: tuple[int, int]) -> list[tuple[int, ...]]:
-    """The members of R_n whose first letter is `first`, unordered.
+def _reverse_stable(task: tuple[int, int, int]) -> list[tuple[int, ...]]:
+    """The members of R_n that begin with `first` and end with `last`,
+    where first < last, together with their reverses, unordered.
 
     A backtracking search from both ends: depth k fixes w_k and then
     w_{n+1-k}, bumps w_k into the forward rows and w_{n+1-k} into the
@@ -163,12 +168,19 @@ def _reverse_stable(task: tuple[int, int]) -> list[tuple[int, ...]]:
     a reverse bump. For odd n the middle letter is forced. Every completed
     word is judged by same_recording_tableau, the module global at the
     time of the search.
+
+    Q(w) = Q(w^r) is symmetric in w and w^r, and so is the search: step k
+    compares the same two cells for both. So each member is recorded
+    together with its reverse, which begins with last and so is found by
+    no task with first < last; for n >= 2 no word is its own reverse.
     """
-    n, first = task
+    n, first, last = task
     half = n // 2
     w = [0] * n
-    forward: list[list[int]] = []
-    backward: list[list[int]] = []
+    w[0], w[-1] = first, last
+    # The first letter of each end lands in the empty rows' one corner.
+    forward: list[list[int]] = [[first]]
+    backward: list[list[int]] = [[last]]
     found = []
 
     def extend(k: int, free: tuple[int, ...]) -> None:
@@ -176,11 +188,9 @@ def _reverse_stable(task: tuple[int, int]) -> list[tuple[int, ...]]:
             if free:
                 w[half] = free[0]
             if same_recording_tableau(w, w[::-1]):
-                found.append(tuple(w))
+                found.extend((tuple(w), tuple(w[::-1])))
             return
         for i, a in enumerate(free):
-            if k == 0 and a != first:
-                continue
             rest = free[:i] + free[i + 1 :]
             w[k] = a
             cell = _insert(forward, a)
@@ -192,30 +202,71 @@ def _reverse_stable(task: tuple[int, int]) -> list[tuple[int, ...]]:
                 _uninsert(backward, back[0])
             _uninsert(forward, cell[0])
 
-    extend(0, tuple(range(1, n + 1)))
+    extend(1, tuple(a for a in range(1, n + 1) if a not in (first, last)))
     return found
 
 
-def _reverse_stable_members(n: int, workers: int) -> list[tuple[int, ...]]:
-    """R_n in rank order, one search task per first letter, run in this
-    process for one worker and otherwise on a pool."""
-    _check_workers(workers)
-    tasks = [(n, a) for a in range(1, n + 1)]
-    if workers == 1 or n == 1:
-        per_letter = map(_reverse_stable, tasks)
-    else:
+class _SearchPool:
+    """Runs the tasks of R searches: in this process for one worker, and
+    otherwise on one process pool, started at the first search and kept
+    for every later one until close(). A failed or interrupted search
+    closes it, and the tasks not yet started are cancelled. The pool never
+    holds more processes than requested, CPUs, or tasks in a search of
+    size `largest`, the largest it will run."""
+
+    def __init__(self, workers: int, largest: int) -> None:
+        _check_workers(workers)
+        self.workers = workers
+        self.largest = largest
+        self.executor = None
+
+    def map(self, tasks: list[tuple[int, int, int]]) -> Iterable[list[tuple[int, ...]]]:
+        if self.workers == 1:
+            return map(_reverse_stable, tasks)
         # Imported here so that commands which never search in parallel do
         # not pay for loading the process pool.
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
-        # The pool never holds more processes than requested, letters or CPUs.
+        if self.executor is None:
+            import signal
+
+            size = min(self.workers, comb(self.largest, 2), os.cpu_count() or 1)
+            # A terminal sends Ctrl-C to the whole process group; only this
+            # process reports it, so the workers ignore it.
+            self.executor = ProcessPoolExecutor(
+                size, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
+            )
         try:
-            with ProcessPoolExecutor(max_workers=min(workers, n, os.cpu_count() or 1)) as pool:
-                per_letter = list(pool.map(_reverse_stable, tasks))
-        except BrokenProcessPool:
-            raise ChildProcessError("a search worker ended abruptly") from None
-    return sorted(member for members in per_letter for member in members)
+            return list(self.executor.map(_reverse_stable, tasks))
+        except BaseException as exc:
+            self.close()
+            if isinstance(exc, BrokenProcessPool):
+                raise ChildProcessError("a search worker ended abruptly") from None
+            raise
+
+    def close(self) -> None:
+        if self.executor is not None:
+            self.executor.shutdown(cancel_futures=True)
+            self.executor = None
+
+
+def _reverse_stable_members(n: int, pool: _SearchPool) -> list[tuple[int, ...]]:
+    """R_n in rank order: one search task for each pair of end letters
+    a < b, run on `pool`. The one word of S_1 is its own reverse."""
+    if n == 1:
+        return [(1,)]
+    tasks = [(n, a, b) for a in range(1, n) for b in range(a + 1, n + 1)]
+    return sorted(member for members in pool.map(tasks) for member in members)
+
+
+def _search_alone(n: int, workers: int) -> list[tuple[int, ...]]:
+    """R_n, on a pool of its own that is closed when the search ends."""
+    pool = _SearchPool(workers, n)
+    try:
+        return _reverse_stable_members(n, pool)
+    finally:
+        pool.close()
 
 
 def _hook_tableaux(n: int) -> list[StandardYoungTableau]:
@@ -304,7 +355,7 @@ def count_R(n: int, *, workers: int = 1, max_n: int = DEFAULT_MAX_COUNT_N) -> in
     """Exhaustive count of permutations sharing a recording tableau with
     their reverse, by the two-ended pruned search."""
     _check_count_range(n, max_n)
-    return len(_reverse_stable_members(n, workers))
+    return len(_search_alone(n, workers))
 
 
 def count_H(n: int, *, workers: int = 1, max_n: int = DEFAULT_MAX_COUNT_N) -> int:
@@ -350,7 +401,7 @@ def list_set(
         )
     _check_count_range(n, max_n)
     if which == "R":
-        members = _reverse_stable_members(n, workers)
+        members = _search_alone(n, workers)
     else:
         _check_workers(workers)
         members = _inverse_images(_hook_tableaux(n))
@@ -423,18 +474,30 @@ def verify(
     when called. Symmetry and phi/theta stop at their caps, and transport
     sources at n_max - 2. Every range is checked here, before any claim
     runs. The claims share one memo of R_n, so a report's elapsed_ms
-    counts only the work its own claim did."""
+    counts only the work its own claim did, and one search pool, which
+    starts at the plan's first pooled search and closes after its last."""
     chosen = set(suites)
     if chosen - set(SUITES):
         raise ValueError(f"unknown suite {min(chosen - set(SUITES))!r}: expected one of {SUITES}")
     caps = {"symmetry": SYMMETRY_MAX_N, "phi_theta": PHI_THETA_MAX_N, "transport": n_max - 2}
     sizes = {suite: range(1, min(n_max, caps.get(suite, n_max)) + 1) for suite in SUITES}
+    to_search = set()
     if chosen & {"count", "characterization"}:
         _check_count_range(n_max, max_n)
+        to_search.update(sizes["count"])
     for n in sizes["transport"] if "transport" in chosen else ():
         _check_count_range(n + 2, max_n)
-    _check_workers(workers)
-    members = cache(lambda n: _reverse_stable_members(n, workers))
+        to_search.add(n + 2)
+    pool = _SearchPool(workers, max(to_search, default=1))
+
+    @cache
+    def members(n: int) -> list[tuple[int, ...]]:
+        found = _reverse_stable_members(n, pool)
+        to_search.discard(n)
+        if not to_search:
+            pool.close()
+        return found
+
     claims = {
         "count": lambda n: _report(
             "count_R", n, workers, lambda: (len(members(n)), None), count_R_formula(n)
@@ -497,5 +560,5 @@ def verify_R_transport(
     if n < 1:
         raise ValueError(f"size must be positive, got {n}")
     _check_count_range(n + 2, max_n)
-    members = partial(_reverse_stable_members, n + 2, workers)
+    members = partial(_search_alone, n + 2, workers)
     return _report("r_transport", n, workers, lambda: _transport(members()))

@@ -1,8 +1,10 @@
+import concurrent.futures
 import contextlib
 import errno
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -30,6 +32,13 @@ def die_in_a_pool_worker(task):
     if os.getpid() != TEST_PROCESS:
         os._exit(1)
     return real_reverse_stable(task)
+
+
+def ignores_interrupts(task):
+    """Stands in for a search task and reports whether the process that
+    runs it ignores Ctrl-C. Defined at module level so that the pool can
+    pickle it."""
+    return [(signal.getsignal(signal.SIGINT) is signal.SIG_IGN,)]
 
 
 class TestRskCommand:
@@ -282,9 +291,9 @@ class TestVerifyCommand:
         built = []
         real = enumeration._reverse_stable_members
 
-        def recorder(n, workers):
+        def recorder(n, pool):
             built.append(n)
-            return real(n, workers)
+            return real(n, pool)
 
         monkeypatch.setattr(enumeration, "_reverse_stable_members", recorder)
         out_file = tmp_path / "reports.jsonl"
@@ -346,7 +355,7 @@ class TestVerifyCommand:
             "verify", "--count", "--n-max", "3", "--workers", "2",
             "--out", str(out_file), *(["--json"] if as_json else []),
         )
-        # n = 1 is one task and runs in this process; n = 2 needs the pool
+        # R_1 needs no search; R_2 starts the pool
         assert (code, err) == (3, "error: a search worker ended abruptly\n")
         lines = out_file.read_text().splitlines()
         assert [(r["check"], r["n"]) for r in map(json.loads, lines)] == [("count_R", 1)]
@@ -354,6 +363,55 @@ class TestVerifyCommand:
             assert out.splitlines() == lines
         else:
             assert [line.split()[:3] for line in out.splitlines()] == [["PASS", "count_R", "n=1"]]
+
+    def test_one_pool_per_run(self, capsys, tmp_path, monkeypatch):
+        started = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        out_file = tmp_path / "reports.jsonl"
+        code, out, _ = run_cli(
+            capsys,
+            "verify", "--all", "--n-max", "8", "--workers", "2", "--json", "--out", str(out_file),
+        )
+        assert (code, len(out.splitlines())) == (0, 35)
+        assert len(started) == 1
+        reports = [claim() for claim in enumeration.verify(["count"], 9, workers=2)]
+        assert [r.observed for r in reports][-1] == 1120
+        assert len(started) == 2
+
+    def test_pool_workers_ignore_interrupts(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "_reverse_stable", ignores_interrupts)
+        assert enumeration._search_alone(3, 2) == [(True,)] * 3
+        # one worker searches in this process, which keeps its handler
+        assert enumeration._search_alone(3, 1) == [(False,)] * 3
+
+    def test_interrupt_ends_a_pooled_run_without_worker_tracebacks(self, tmp_path):
+        # A terminal's Ctrl-C goes to the whole process group, pool workers
+        # included; only the CLI process may report it.
+        argv = ["verify", "--count", "--n-max", "10", "--workers", "2"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rskcheck", *argv, "--out", str(tmp_path / "r.jsonl")],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            # R_9 and R_10 are still to search once the n = 8 report is out
+            for n in range(1, 9):
+                assert f"n={n} " in proc.stdout.readline()
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
+        assert (proc.returncode, err) == (130, "error: interrupted\n")
 
 
 class TestErrorPaths:
@@ -418,7 +476,7 @@ class TestErrorPaths:
     def test_report_file_cannot_be_opened_exit_2(self, capsys, tmp_path, monkeypatch, target):
         built = []
         monkeypatch.setattr(
-            enumeration, "_reverse_stable_members", lambda n, workers: built.append(n)
+            enumeration, "_reverse_stable_members", lambda n, pool: built.append(n)
         )
         if target == "missing":
             out, reason = tmp_path / "no-such-dir" / "x.jsonl", os.strerror(errno.ENOENT)
@@ -452,7 +510,7 @@ class TestErrorPaths:
     def test_listing_out_of_range_n_exit_2(self, capsys, monkeypatch, argv, message):
         searched = []
         monkeypatch.setattr(
-            enumeration, "_reverse_stable_members", lambda n, workers: searched.append(n)
+            enumeration, "_reverse_stable_members", lambda n, pool: searched.append(n)
         )
         self.assert_exit_2(capsys, argv, message)
         assert searched == []

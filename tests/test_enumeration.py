@@ -176,6 +176,17 @@ class TestPrunedSweepAgainstBruteForce:
         members = list_set("R", n, workers=workers)
         assert [w.entries for w in members] == brute_force_R(n)
 
+    def test_leaf_judges_one_word_of_each_reversal_pair(self, monkeypatch):
+        judged = []
+        real = enumeration.same_recording_tableau
+        monkeypatch.setattr(
+            enumeration, "same_recording_tableau", lambda u, v: judged.append(tuple(u)) or real(u, v)
+        )
+        assert count_R(9) == 1120
+        # a search of both orders would complete 40,320 words
+        assert len(set(judged)) == len(judged) == 20160
+        assert all(w[0] < w[-1] for w in judged)
+
 
 def brute_force_characterized(n):
     """C_n by a filter over S_n: Q(w) is the symmetric hook and has the
@@ -280,60 +291,87 @@ class TestSymmetryAgainstBruteForce:
 
 
 class SerialPool:
-    """Stands in for the process pool: records its size and maps in this
-    process, so no test here starts a real pool."""
+    """Stands in for the process pool: records its size, when it starts and
+    shuts down, and maps in this process, so no test here starts a real
+    pool. It does not run the initializer, which would make this process
+    ignore Ctrl-C."""
 
     sizes: list[int] = []
+    events: list[object] = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None, initargs=()):
         self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
+        self.events.append("start")
 
     def map(self, fn, iterable):
         return map(fn, iterable)
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        self.events.append("close")
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    monkeypatch.setattr(SerialPool, "sizes", [])
+    monkeypatch.setattr(SerialPool, "events", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return SerialPool
 
 
 class TestPoolSize:
     @pytest.mark.parametrize(
         "cpus, workers, expected",
         [
-            (2, 64, [2, 2, 2, 2]),  # the pool never outgrows the CPUs
-            (None, 64, [1, 1, 1, 1]),  # unknown CPU count: one process
-            (8, 3, [2, 3, 3, 3]),  # nor the letters: n = 2 has two
+            (2, 64, [2]),  # one pool for the plan, never larger than the CPUs
+            (None, 64, [1]),  # unknown CPU count: one process
+            (8, 3, [3]),  # nor the workers asked for
+            (16, 64, [10]),  # nor the tasks of the largest search: ten at n = 5
         ],
     )
-    def test_pool_capped_at_chunks_and_cpus(self, monkeypatch, cpus, workers, expected):
-        monkeypatch.setattr(SerialPool, "sizes", [])
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    def test_pool_capped_at_chunks_and_cpus(self, monkeypatch, serial_pool, cpus, workers, expected):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         reports = verify_count_theorem(5, workers=workers)
-        # n = 1 is one task and runs without a pool
-        assert SerialPool.sizes == expected
+        assert serial_pool.sizes == expected
         assert [r.observed for r in reports] == [1, 0, 4, 0, 24]
         assert all(r.passed and r.workers == workers for r in reports)
 
-    def test_one_task_per_first_letter(self, monkeypatch):
-        monkeypatch.setattr(SerialPool, "sizes", [])
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    def test_one_task_per_pair_of_end_letters(self, monkeypatch, serial_pool):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         tasks = []
         monkeypatch.setattr(enumeration, "_reverse_stable", lambda task: tasks.append(task) or [])
         assert count_R(4, workers=5) == 0
-        assert tasks == [(4, 1), (4, 2), (4, 3), (4, 4)]
-        assert SerialPool.sizes == [2]
+        assert tasks == [(4, 1, 2), (4, 1, 3), (4, 1, 4), (4, 2, 3), (4, 2, 4), (4, 3, 4)]
+        assert serial_pool.sizes == [2]
+        assert serial_pool.events == ["start", "close"]
+
+    def test_plan_pool_spans_its_searches(self, serial_pool):
+        for claim in verify(SUITES, 5, workers=2):
+            report = claim()
+            serial_pool.events.append((report.check, report.n))
+        # R_1 needs no pool; R_2 starts it, and R_5, the last R_n the plan
+        # needs, closes it before its report and the later suites
+        assert serial_pool.events[:7] == [
+            ("count_R", 1), "start", ("count_R", 2), ("count_R", 3), ("count_R", 4),
+            "close", ("count_R", 5),
+        ]
+        assert serial_pool.events.count("start") == serial_pool.events.count("close") == 1
+
+    def test_interrupted_search_closes_the_plan_pool(self, monkeypatch, serial_pool):
+        def interrupt(task):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(enumeration, "_reverse_stable", interrupt)
+        claims = verify(["count"], 4, workers=2)
+        assert claims[0]().passed
+        with pytest.raises(KeyboardInterrupt):
+            claims[1]()
+        assert serial_pool.events == ["start", "close"]
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_n_factorial_suites_start_no_pool(self, monkeypatch, workers):
-        monkeypatch.setattr(SerialPool, "sizes", [])
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    def test_n_factorial_suites_start_no_pool(self, serial_pool, workers):
         claims = verify(["symmetry", "phi_theta"], 4, workers=workers)
         assert all(claim().passed for claim in claims)
-        assert SerialPool.sizes == []
+        assert serial_pool.sizes == []
 
 
 class TestListSet:
@@ -394,7 +432,7 @@ class TestListSet:
     ):
         searched = []
         monkeypatch.setattr(
-            enumeration, "_reverse_stable_members", lambda n, workers: searched.append(n)
+            enumeration, "_reverse_stable_members", lambda n, pool: searched.append(n)
         )
         with pytest.raises(ValueError, match=re.escape(message)):
             list_set(which, n, list_max=list_max, max_n=max_n)
@@ -483,9 +521,9 @@ class TestVerifyEngine:
         built = []
         real = enumeration._reverse_stable_members
 
-        def recorder(n, workers):
+        def recorder(n, pool):
             built.append(n)
-            return real(n, workers)
+            return real(n, pool)
 
         monkeypatch.setattr(enumeration, "_reverse_stable_members", recorder)
         return built
@@ -511,11 +549,12 @@ class TestVerifyEngine:
         assert len(verify(SUITES, 11)) == 44
         assert built == []
 
-    def test_memo_lives_for_one_plan(self, monkeypatch):
+    def test_memo_lives_for_one_plan(self, monkeypatch, serial_pool):
         built = self.record_builds(monkeypatch)
         for _ in range(2):
-            [claim() for claim in verify(["count", "transport"], 3)]
+            [claim() for claim in verify(["count", "transport"], 3, workers=2)]
         assert sorted(built) == [1, 1, 2, 2, 3, 3]
+        assert serial_pool.events == ["start", "close"] * 2
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError, match="unknown suite 'bogus'"):
