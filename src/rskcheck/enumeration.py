@@ -14,9 +14,11 @@ characterization is the set equality R_n = C_n. The R side never looks
 at a shape, and the C side never compares a word with its reverse.
 
 The relations and phi/theta suites are plain loops over S_n in rank
-order, run in this process. The relations suite inserts each word once and
-evacuates each tableau once, and then checks the eight relations by
-lookup.
+order, run in this process, and each computes a value once and looks it
+up after that. The relations suite inserts each word once and evacuates
+and transposes each tableau once, and then checks the eight relations by
+lookup. The phi/theta suite projects each lift once; once the lifts tile
+S_{n+2}, the reverse and complement laws are checked there by lookup.
 
 Only the R search is pooled. Its tasks are the pairs of end letters
 a < b; each searches the words with w_1 = a and w_n = b and adds the
@@ -286,16 +288,17 @@ def _inverse_images(recording: list[StandardYoungTableau]) -> list[tuple[int, ..
 def _relations_failure(n: int) -> str | None:
     """The first word of S_n, in rank order, for which one of the eight
     tableau-pair identities tying a permutation's reverse, complement, and
-    inverse to transposes and evacuations fails. Each word is inserted once
-    and each tableau evacuated once."""
+    inverse to transposes and evacuations fails. Each word is inserted once,
+    and each tableau evacuated once and transposed once."""
     pairs = {word: rsk(Permutation._trusted(word)) for word in permutations(range(1, n + 1))}
     evacuate = cache(evacuation)
+    transpose = cache(StandardYoungTableau.transpose)
     for word, pair in pairs.items():
         w = Permutation._trusted(word)
         p, q = pair.p, pair.q
         ep, eq = evacuate(p), evacuate(q)
-        pt, qt = p.transpose(), q.transpose()
-        ept, eqt = ep.transpose(), eq.transpose()
+        pt, qt = transpose(p), transpose(q)
+        ept, eqt = transpose(ep), transpose(eq)
         wi = w.inverse()
         cases = (
             ("identity", w, p, q),
@@ -317,9 +320,13 @@ def _relations_failure(n: int) -> str | None:
 def _phi_theta_failure(n: int) -> str | None:
     """The first failure, if any, of the phi/theta laws at size n: every
     lift of every word of S_n is undone by projection, the lift images tile
-    S_{n+2}, and projection commutes with reverse and complement there."""
+    S_{n+2}, and projection commutes with reverse and complement there.
+
+    Each lift is projected once. Once the lifts tile S_{n+2}, the table of
+    projections holds theta(v) for every v there, so the last two laws are
+    checked by lookup."""
     m = n + 2
-    images: set[tuple[int, ...]] = set()
+    project: dict[tuple[int, ...], Permutation] = {}
     for word in permutations(range(1, n + 1)):
         w = Permutation._trusted(word)
         for a in range(1, m + 1):
@@ -329,16 +336,18 @@ def _phi_theta_failure(n: int) -> str | None:
                 lifted = phi(w, a, b)
                 if theta(lifted) != w:
                     return f"projection fails to undo lift ({a},{b}) of {w}"
-                images.add(lifted.entries)
-    if len(images) != factorial(m):
-        return f"lift images cover {len(images)} of {factorial(m)} permutations"
+                project[lifted.entries] = w
+    # A lift that is no word of S_{n+2} covers nothing.
+    covered = sum(map(project.__contains__, permutations(range(1, m + 1))))
+    if covered != factorial(m):
+        return f"lift images cover {covered} of {factorial(m)} permutations"
+    reverse, complement = cache(Permutation.reverse), cache(Permutation.complement)
     for word in permutations(range(1, m + 1)):
-        v = Permutation._trusted(word)
-        projected = theta(v)
-        if theta(v.reverse()) != projected.reverse():
-            return f"projection does not commute with reverse on {v}"
-        if theta(v.complement()) != projected.complement():
-            return f"projection does not commute with complement on {v}"
+        projected = project[word]
+        if project[word[::-1]] != reverse(projected):
+            return f"projection does not commute with reverse on {Permutation._trusted(word)}"
+        if project[tuple(m + 1 - v for v in word)] != complement(projected):
+            return f"projection does not commute with complement on {Permutation._trusted(word)}"
     return None
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .evacuation import evacuation
-from .permutations import Permutation
+from .permutations import MAX_SIZE, Permutation
 from .rsk import rsk, same_recording_tableau
 from .tableaux import StandardYoungTableau
 
@@ -51,10 +51,15 @@ def phi(w: Permutation, a: int, b: int) -> Permutation:
     """
     m = w.n + 2
     for name, value in (("a", a), ("b", b)):
+        # The lift is built unchecked, so a value that is no integer stops here.
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"parameter {name}={value!r} is not an integer")
         if not 1 <= value <= m:
             raise ValueError(f"parameter {name}={value} outside [1, {m}]")
     if a == b:
         raise ValueError(f"parameters must differ, got a = b = {a}")
+    if m > MAX_SIZE:
+        raise ValueError(f"size {m} exceeds the supported maximum {MAX_SIZE}")
     c, d = (a, b) if a < b else (b, a)
     out = [a]
     for v in w.entries:
@@ -65,7 +70,7 @@ def phi(w: Permutation, a: int, b: int) -> Permutation:
         else:
             out.append(v + 2)
     out.append(b)
-    return Permutation(out)
+    return Permutation._trusted(tuple(out))
 
 
 def theta(w: Permutation) -> Permutation:

@@ -3,6 +3,7 @@ import functools
 import json
 import os
 import re
+from math import factorial
 
 import pytest
 
@@ -29,7 +30,7 @@ from rskcheck.evacuation import evacuation
 from rskcheck.permutations import Permutation, iterate_sn
 from rskcheck.reverse_maps import is_in_H, is_in_M, is_in_R, satisfies_first_row_property
 from rskcheck.rsk import TableauPair, rsk
-from rskcheck.tableaux import count_syt
+from rskcheck.tableaux import StandardYoungTableau, count_syt
 
 
 def report_payload(report):
@@ -272,22 +273,112 @@ class TestSymmetryAgainstBruteForce:
         assert report.detail == brute_force_relations(bad.n)
 
     def test_call_counts(self, monkeypatch):
-        counts = {"rsk": 0, "evacuation": 0, "theta": 0}
-        for name in counts:
-            real = getattr(enumeration, name)
+        counts = {"rsk": 0, "evacuation": 0, "theta": 0, "transpose": 0}
 
-            def recorder(*args, name=name, real=real):
+        def recorder(name, real):
+            def record(*args):
                 counts[name] += 1
                 return real(*args)
 
-            monkeypatch.setattr(enumeration, name, recorder)
+            return record
+
+        for name in ("rsk", "evacuation", "theta"):
+            monkeypatch.setattr(enumeration, name, recorder(name, getattr(enumeration, name)))
+        monkeypatch.setattr(
+            StandardYoungTableau, "transpose", recorder("transpose", StandardYoungTableau.transpose)
+        )
         assert verify_symmetry_relations(6).passed
         assert verify_phi_theta(5).passed
-        # 720 words, 76 standard tableaux of size 6, and at n = 5 one
-        # projection per lift plus three per word of S_7
+        # 720 words, 76 standard tableaux of size 6, each evacuated and
+        # transposed at most once, and at n = 5 one projection per lift
         assert counts["rsk"] == 720
         assert counts["evacuation"] <= 76
-        assert counts["theta"] == 120 * 42 + 3 * 5040
+        assert counts["transpose"] <= 76
+        assert counts["theta"] == 120 * 42
+
+
+def brute_force_phi_theta(n):
+    """The first failure of the phi/theta laws at size n, by three plain
+    loops that call phi and theta afresh for every case, through the
+    module globals as the suite sees them."""
+    m = n + 2
+    images = set()
+    for w in iterate_sn(n):
+        for a in range(1, m + 1):
+            for b in range(1, m + 1):
+                if a == b:
+                    continue
+                lifted = enumeration.phi(w, a, b)
+                if enumeration.theta(lifted) != w:
+                    return f"projection fails to undo lift ({a},{b}) of {w}"
+                images.add(lifted.entries)
+    if len(images) != factorial(m):
+        return f"lift images cover {len(images)} of {factorial(m)} permutations"
+    for v in iterate_sn(m):
+        projected = enumeration.theta(v)
+        if enumeration.theta(v.reverse()) != projected.reverse():
+            return f"projection does not commute with reverse on {v}"
+        if enumeration.theta(v.complement()) != projected.complement():
+            return f"projection does not commute with complement on {v}"
+    return None
+
+
+real_phi = enumeration.phi
+real_theta = enumeration.theta
+
+
+def theta_reversed(v):
+    return real_theta(v).reverse()
+
+
+def phi_fixed_endpoints(w, a, b):
+    return real_phi(w, 1, w.n + 2)
+
+
+def twisted_by(twist, when):
+    """A phi and a theta that twist the interior of every lift whose
+    endpoints (a, b) in S_m satisfy when(a, b, m): theta still undoes phi
+    and the lifts still tile, but projection may no longer commute with
+    reverse or complement."""
+
+    def phi_twisted(w, a, b):
+        return real_phi(twist(w) if when(a, b, w.n + 2) else w, a, b)
+
+    def theta_untwisted(v):
+        projected = real_theta(v)
+        return twist(projected) if when(v.entries[0], v.entries[-1], v.n) else projected
+
+    return {"phi": phi_twisted, "theta": theta_untwisted}
+
+
+class TestPhiThetaAgainstBruteForce:
+    @pytest.mark.parametrize(
+        "patches, failing",
+        [
+            ({}, None),
+            ({"theta": theta_reversed}, "projection fails to undo lift"),
+            ({"phi": phi_fixed_endpoints}, "lift images cover"),
+            (
+                twisted_by(Permutation.complement, lambda a, b, m: a < b),
+                "does not commute with reverse",
+            ),
+            # a + b < m + 1 is kept by reverse and flipped by complement
+            (
+                twisted_by(Permutation.reverse, lambda a, b, m: a + b < m + 1),
+                "does not commute with complement",
+            ),
+        ],
+        ids=["real", "theta_reversed", "phi_fixed_endpoints", "twist_complement", "twist_reverse"],
+    )
+    def test_same_first_failure(self, monkeypatch, patches, failing):
+        for name, patched in patches.items():
+            monkeypatch.setattr(enumeration, name, patched)
+        details = [verify_phi_theta(n).detail for n in range(1, 6)]
+        assert details == [brute_force_phi_theta(n) for n in range(1, 6)]
+        if failing is None:
+            assert details == [None] * 5
+        else:
+            assert any(failing in (detail or "") for detail in details)
 
 
 class SerialPool:

@@ -41,6 +41,15 @@ def phi_fixed_endpoints(w, a, b):
     return real_phi(w, 1, w.n + 2)
 
 
+def phi_repeats_a_letter(w, a, b):
+    """Ends a lift with adjacent endpoints by its first letter again.
+    theta still undoes it, since no interior value lies between them."""
+    lifted = real_phi(w, a, b)
+    if abs(a - b) == 1:
+        return Permutation._trusted(lifted.entries[:-1] + (a,))
+    return lifted
+
+
 @WORKERS
 def test_count_fails_on_short_lockstep(monkeypatch, workers):
     monkeypatch.setattr(enumeration, "same_recording_tableau", lockstep_one_step_short)
@@ -51,7 +60,9 @@ def test_count_fails_on_short_lockstep(monkeypatch, workers):
 @WORKERS
 def test_count_fails_when_every_leaf_passes(monkeypatch, workers):
     # Only the words the two-ended search completes reach the leaf
-    # verdict: all of S_2 and S_3, but 12 of the 24 words of S_4.
+    # verdict, and it judges one word of each reversal pair: 1, 3 and 6
+    # words of S_2, S_3 and S_4. Each is recorded together with its
+    # reverse, which gives the counts 2, 6 and 12.
     monkeypatch.setattr(enumeration, "same_recording_tableau", lambda u, v: True)
     reports = enumeration.verify_count_theorem(4, workers=workers)
     assert failures(reports) == [(2, 2, None), (3, 6, None), (4, 12, None)]
@@ -136,6 +147,44 @@ def test_phi_theta_fails_when_lifts_collide(monkeypatch, workers):
         (1, False, "lift images cover 1 of 6 permutations"),
         (2, False, "lift images cover 2 of 24 permutations"),
         (3, False, "lift images cover 6 of 120 permutations"),
+    ]
+
+
+@WORKERS
+def test_phi_theta_fails_when_a_lift_repeats_a_letter(monkeypatch, workers):
+    # 2(n+1) of the (n+2)(n+1) lifts of each word of S_n are no words of
+    # S_{n+2}, so they cover nothing.
+    monkeypatch.setattr(enumeration, "phi", phi_repeats_a_letter)
+    reports = [enumeration.verify_phi_theta(n, workers=workers) for n in range(1, 4)]
+    assert failures(reports) == [
+        (1, False, "lift images cover 2 of 6 permutations"),
+        (2, False, "lift images cover 12 of 24 permutations"),
+        (3, False, "lift images cover 72 of 120 permutations"),
+    ]
+
+
+@WORKERS
+def test_phi_theta_failure_reaches_the_cli(capsys, monkeypatch, tmp_path, workers):
+    monkeypatch.setattr(enumeration, "phi", phi_repeats_a_letter)
+    code = cli.main(
+        [
+            "verify",
+            "--phi-theta",
+            "--n-max",
+            "2",
+            "--workers",
+            str(workers),
+            "--out",
+            str(tmp_path / "reports.jsonl"),
+        ]
+    )
+    out = capsys.readouterr().out
+    assert code == 1
+    assert [line.split()[:3] for line in out.splitlines()] == [
+        ["FAIL", "phi_theta", "n=1"],
+        ["lift", "images", "cover"],
+        ["FAIL", "phi_theta", "n=2"],
+        ["lift", "images", "cover"],
     ]
 
 

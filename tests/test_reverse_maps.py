@@ -47,6 +47,15 @@ class TestPhi:
         with pytest.raises(ValueError, match=r"b=4 outside \[1, 3\]"):
             phi(Permutation([1]), 1, 4)
 
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [(1.0, 3, "a=1.0 is not an integer"), (1, True, "b=True is not an integer")],
+    )
+    def test_parameters_that_are_not_integers_rejected(self, a, b, message):
+        # The lift is built unchecked, so these would otherwise reach it.
+        with pytest.raises(ValueError, match=message):
+            phi(Permutation([1]), a, b)
+
     def test_endpoints(self):
         w = Permutation.parse("231")
         lifted = phi(w, 4, 2)
@@ -71,7 +80,9 @@ class TestPhi:
     def test_result_is_valid_permutation(self, case):
         w, a, b = case
         lifted = phi(w, a, b)
-        assert lifted.n == w.n + 2  # constructor validated the rearrangement
+        # phi builds its result unchecked, so check that it is a permutation
+        assert Permutation(lifted.entries) == lifted
+        assert lifted.n == w.n + 2
 
     def test_result_over_the_size_bound_rejected(self):
         with pytest.raises(ValueError, match="size 21 exceeds the supported maximum 20"):
