@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from pathlib import Path
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import enumeration
 from .evacuation import delta, evacuation_trace
@@ -43,11 +43,12 @@ def _read_tableau_source(source: str) -> object:
     """Inline JSON (sniffed by a leading bracket or brace) or a file path."""
     text = source.strip()
     if not text.startswith(("[", "{")):
-        path = Path(text)
-        if not path.exists():
+        path = os.path.normpath(text)  # as a path: "" is ".", "t.json/" is "t.json"
+        if not os.path.exists(path):
             raise ValueError(f"tableau file not found: {text}")
         try:
-            text = path.read_text(encoding="utf-8").strip()
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read().strip()
         except OSError as exc:
             raise ValueError(f"cannot read tableau file {text}: {exc.strerror}") from None
     try:

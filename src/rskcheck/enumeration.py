@@ -40,12 +40,11 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterable
 from functools import cache, partial
 from itertools import permutations
 from math import comb, factorial
-from pathlib import Path
-from typing import Callable, Iterable, Literal
 
 from .evacuation import evacuation
 from .permutations import Permutation
@@ -87,26 +86,21 @@ PHI_THETA_MAX_N = 6
 
 SUITES = ("count", "characterization", "symmetry", "phi_theta", "transport")
 
-SetName = Literal["R", "H", "M"]
+SetName = str  # the sets list_set accepts: "R", "H" or "M"
+
+_REPORT_FIELDS = "check n observed expected formula passed elapsed_ms workers detail"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """One verified claim: what was observed, what was expected, timing."""
+class VerificationReport(namedtuple("VerificationReport", _REPORT_FIELDS, defaults=(None,))):
+    """One verified claim: what was observed, what was expected, timing.
+    detail, None by default, holds diagnostics only and is not part of the
+    JSON schema."""
 
-    check: str
-    n: int
-    observed: int | bool
-    expected: int | bool
-    formula: int | None
-    passed: bool
-    elapsed_ms: int
-    workers: int
-    detail: str | None = None  # diagnostics only; not part of the JSON schema
+    __slots__ = ()
 
     def as_dict(self) -> dict[str, object]:
         """Every field but detail, in declaration order."""
-        payload = asdict(self)
+        payload = self._asdict()
         del payload["detail"]
         return payload
 
@@ -114,9 +108,9 @@ class VerificationReport:
         return json.dumps(self.as_dict(), separators=(",", ":"))
 
 
-def append_reports(reports: list[VerificationReport], path: str | Path) -> None:
+def append_reports(reports: list[VerificationReport], path: str | os.PathLike[str]) -> None:
     """Append reports to a JSON-lines file, one report per line."""
-    with Path(path).open("a", encoding="utf-8") as handle:
+    with open(path, "a", encoding="utf-8") as handle:
         for report in reports:
             handle.write(report.to_json() + "\n")
 
@@ -227,12 +221,11 @@ class _SearchPool:
             return map(_reverse_stable, tasks)
         # Imported here so that commands which never search in parallel do
         # not pay for loading the process pool.
+        import signal
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
         if self.executor is None:
-            import signal
-
             size = min(self.workers, comb(self.largest, 2), os.cpu_count() or 1)
             # A terminal sends Ctrl-C to the whole process group; only this
             # process reports it, so the workers ignore it.
@@ -240,7 +233,16 @@ class _SearchPool:
                 size, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
             )
         try:
-            return list(self.executor.map(_reverse_stable, tasks))
+            # Ctrl-C waits until every task is queued: raised inside the
+            # executor's locking, it can leave a lock held that close() then
+            # waits on forever. The pool's threads start here and inherit the
+            # mask, so the signal can only reach this thread.
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                results = self.executor.map(_reverse_stable, tasks)
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            return list(results)
         except BaseException as exc:
             self.close()
             if isinstance(exc, BrokenProcessPool):

@@ -14,8 +14,8 @@ i-th deletion (0-based) receives entry n - i.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
 from .tableaux import Cell, StandardYoungTableau, validate_grid
 
@@ -30,13 +30,11 @@ __all__ = [
 Grid = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class EvacuationTrace:
+class EvacuationTrace(namedtuple("EvacuationTrace", "vacated_cells evacuation")):
     """The corner vacated by each deletion step, plus the tableau that
     records them."""
 
-    vacated_cells: tuple[Cell, ...]
-    evacuation: StandardYoungTableau
+    __slots__ = ()
 
 
 def _slide(rows: list[list[int]], r: int, c: int) -> tuple[int, int]:

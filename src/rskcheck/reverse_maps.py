@@ -15,7 +15,7 @@ fixed by evacuation followed by transposition.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .evacuation import evacuation
 from .permutations import MAX_SIZE, Permutation
@@ -34,11 +34,10 @@ __all__ = [
 ]
 
 
-class PhiParameters(NamedTuple):
+class PhiParameters(namedtuple("PhiParameters", "a b")):
     """The prepended first letter a and appended last letter b of a lift."""
 
-    a: int
-    b: int
+    __slots__ = ()
 
 
 def phi(w: Permutation, a: int, b: int) -> Permutation:

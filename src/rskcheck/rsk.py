@@ -11,8 +11,8 @@ i, the cell created at step i.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
 from .permutations import Permutation
 from .tableaux import Cell, StandardYoungTableau, validate_grid
@@ -30,29 +30,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TableauPair:
+class TableauPair(namedtuple("TableauPair", "p q")):
     """Insertion tableau p and recording tableau q of a common shape."""
 
-    p: StandardYoungTableau
-    q: StandardYoungTableau
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.p.shape != self.q.shape:
+    def __new__(cls, p: StandardYoungTableau, q: StandardYoungTableau) -> TableauPair:
+        if p.shape != q.shape:
             raise ValueError(
                 "shape mismatch between insertion and recording tableaux: "
-                f"{self.p.shape} vs {self.q.shape}"
+                f"{p.shape} vs {q.shape}"
             )
+        return tuple.__new__(cls, (p, q))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[StandardYoungTableau]) -> TableauPair:
+        # _replace builds through _make, so it checks the shapes too.
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class InsertionOutcome:
+class InsertionOutcome(namedtuple("InsertionOutcome", "rows new_cell bump_path")):
     """Result of inserting one value: the grown grid, the appended cell,
     and the cells touched on the way down (ending at the appended cell)."""
 
-    rows: tuple[tuple[int, ...], ...]
-    new_cell: Cell
-    bump_path: tuple[Cell, ...]
+    __slots__ = ()
 
 
 def _insert(rows: list[list[int]], x: int) -> tuple[int, int]:

@@ -3,10 +3,10 @@ transposition, hook predicates, enumeration, and hook-length counting."""
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
 from math import factorial
-from typing import NamedTuple
 
 __all__ = [
     "Cell",
@@ -19,11 +19,10 @@ __all__ = [
 ]
 
 
-class Cell(NamedTuple):
+class Cell(namedtuple("Cell", "row col")):
     """1-based (row, column) position in a Young diagram."""
 
-    row: int
-    col: int
+    __slots__ = ()
 
 
 class Shape:

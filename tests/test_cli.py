@@ -90,6 +90,13 @@ class TestEvacCommand:
         assert code == 0
         assert json.loads(out)["result"] == [[1, 2, 4], [3], [5]]
 
+    def test_file_path_with_a_trailing_slash(self, capsys, tmp_path):
+        path = tmp_path / "tableau.json"
+        path.write_text("[[1,3,5],[2],[4]]")
+        code, out, _ = run_cli(capsys, "evac", f"{path}/", "--json")
+        assert code == 0
+        assert json.loads(out)["result"] == [[1, 2, 4], [3], [5]]
+
 
 class TestDeltaCommand:
     def test_standard_tableau(self, capsys):
@@ -390,6 +397,24 @@ class TestVerifyCommand:
         # one worker searches in this process, which keeps its handler
         assert enumeration._search_alone(3, 1) == [(False,)] * 3
 
+    def test_tasks_are_queued_with_interrupts_blocked(self, monkeypatch):
+        # A KeyboardInterrupt inside the executor's locking could leave a
+        # lock held, and closing the pool would then hang.
+        def interrupts_blocked():
+            return signal.SIGINT in signal.pthread_sigmask(signal.SIG_BLOCK, ())
+
+        blocked = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                blocked.append(interrupts_blocked())
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        assert len(enumeration._search_alone(5, 2)) == 24
+        assert blocked == [True] * 10  # one task per pair of end letters
+        assert not interrupts_blocked()
+
     def test_interrupt_ends_a_pooled_run_without_worker_tracebacks(self, tmp_path):
         # A terminal's Ctrl-C goes to the whole process group, pool workers
         # included; only the CLI process may report it.
@@ -471,6 +496,11 @@ class TestErrorPaths:
     def test_tableau_source_is_a_directory_exit_2(self, capsys, tmp_path, command):
         message = f"cannot read tableau file {tmp_path}: {os.strerror(errno.EISDIR)}"
         self.assert_exit_2(capsys, [command, str(tmp_path)], message)
+
+    @pytest.mark.parametrize("command", ["evac", "delta"])
+    def test_blank_tableau_source_names_the_current_directory(self, capsys, command):
+        message = f"cannot read tableau file : {os.strerror(errno.EISDIR)}"
+        self.assert_exit_2(capsys, [command, " "], message)
 
     @pytest.mark.parametrize("target", ["missing", "directory"])
     def test_report_file_cannot_be_opened_exit_2(self, capsys, tmp_path, monkeypatch, target):
@@ -638,7 +668,10 @@ class TestModuleEntryPoint:
         assert result.returncode == 0
         assert result.stdout == '{"P":[[1,3,4],[2],[5]],"Q":[[1,3,5],[2],[4]]}\n'
 
-    def test_import_does_not_load_the_process_pool(self):
+    @staticmethod
+    def loaded_by_cli_import(modules):
+        """Those of `modules` that a fresh interpreter has loaded after
+        `import rskcheck.cli`."""
         package_root = Path(rskcheck.__file__).resolve().parent.parent
         result = subprocess.run(
             [
@@ -646,14 +679,22 @@ class TestModuleEntryPoint:
                 "-S",
                 "-c",
                 "import rskcheck.cli, sys; "
-                "print('concurrent.futures.process' in sys.modules)",
+                f"print(' '.join(m for m in {modules!r} if m in sys.modules))",
             ],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": str(package_root)},
         )
-        assert result.returncode == 0
-        assert result.stdout == "False\n"
+        assert result.returncode == 0, result.stderr
+        return result.stdout.split()
+
+    def test_import_does_not_load_the_process_pool(self):
+        assert self.loaded_by_cli_import(["concurrent.futures.process"]) == []
+
+    def test_import_loads_no_dataclasses_inspect_typing_or_pathlib(self):
+        # Each costs start-up time on every one-shot command.
+        heavy = ["dataclasses", "inspect", "typing", "pathlib"]
+        assert self.loaded_by_cli_import(heavy) == []
 
     def test_console_script(self):
         result = subprocess.run(
