@@ -14,25 +14,29 @@ characterization is the set equality R_n = C_n. The R side never looks
 at a shape, and the C side never compares a word with its reverse.
 
 The relations and phi/theta suites are plain loops over S_n in rank
-order, run in this process, and each computes a value once and looks it
-up after that. The relations suite inserts each word once and evacuates
-and transposes each tableau once, and then checks the eight relations by
-lookup. The phi/theta suite projects each lift once; once the lifts tile
-S_{n+2}, the reverse and complement laws are checked there by lookup.
+order, one task for each size, and each computes a value once and looks
+it up after that. The relations suite inserts each word once and
+evacuates and transposes each tableau once, and then checks the eight
+relations by lookup. The phi/theta suite projects each lift once; once
+the lifts tile S_{n+2}, the reverse and complement laws are checked there
+by lookup.
 
-Only the R search is pooled. Its tasks are the pairs of end letters
+The R search is split into tasks, one for each pair of end letters
 a < b; each searches the words with w_1 = a and w_n = b and adds the
 reverse of every member it finds. The tasks and their order do not
-depend on the worker count, so no result does either. A worker that dies
-ends the search with ChildProcessError.
+depend on the worker count, so no result does either.
 
 `verify` plans a verification run, checks every range and the worker
 count before any work starts, and shares one memo of R_n between the
 count, characterization and transport claims, so a run builds each R_n
-once. The plan's R searches share one pool of at most `workers`
-processes, started at the first and closed after the last; `count_R`,
-`list_set` and `verify_R_transport` called alone start a pool of their
-own.
+once. For one worker every task runs in this process, when its claim
+runs. For more, the plan's first claim starts one pool of at most
+`workers` processes and queues on it every task of the plan, the whole
+symmetry and phi/theta claims first; the pool closes once every result
+has been taken. A worker that dies ends the run with ChildProcessError.
+`count_R`, `list_set` and `verify_R_transport` called alone start a pool
+of their own for their search, and `verify_symmetry_relations` and
+`verify_phi_theta` called alone run in this process.
 """
 
 from __future__ import annotations
@@ -202,52 +206,128 @@ def _reverse_stable(task: tuple[int, int, int]) -> list[tuple[int, ...]]:
     return found
 
 
-class _SearchPool:
-    """Runs the tasks of R searches: in this process for one worker, and
-    otherwise on one process pool, started at the first search and kept
-    for every later one until close(). A failed or interrupted search
-    closes it, and the tasks not yet started are cancelled. The pool never
-    holds more processes than requested, CPUs, or tasks in a search of
-    size `largest`, the largest it will run."""
+def _pair_tasks(n: int) -> list[tuple[int, int, int]]:
+    """The search tasks of R_n: one for each pair of end letters a < b."""
+    return [(n, a, b) for a in range(1, n) for b in range(a + 1, n + 1)]
 
-    def __init__(self, workers: int, largest: int) -> None:
+
+def _timed(run: Callable, arg: object) -> tuple[object, float]:
+    """run(arg), and the seconds it took where it ran."""
+    started = time.perf_counter()
+    return run(arg), time.perf_counter() - started
+
+
+def _start_worker(parent: int) -> None:
+    """Set up a pool worker. A terminal sends Ctrl-C to the whole process
+    group and only the parent reports it, so the worker ignores it. A parent
+    killed before it closes its pool leaves its workers waiting for tasks
+    forever, so a daemon thread ends the worker once `parent` is gone."""
+    import signal
+    import threading
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.25)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+class _SearchPool:
+    """Runs tasks, each a function and its argument: for one worker in this
+    process, when they are asked for; otherwise on one process pool. The
+    pool starts at start() or at the first request, queues every task of
+    `queued` in that order, and closes once every queued result has been
+    taken. It never holds more processes than requested, CPUs, or queued
+    tasks. A failure or an interrupt closes it, and the tasks not yet
+    started are cancelled."""
+
+    def __init__(self, workers: int, queued: list[tuple[Callable, object]]) -> None:
         _check_workers(workers)
         self.workers = workers
-        self.largest = largest
+        self.queued = queued
+        self.futures = None  # task -> future, once the pool has started
         self.executor = None
+        self.credit = 0.0
 
-    def map(self, tasks: list[tuple[int, int, int]]) -> Iterable[list[tuple[int, ...]]]:
-        if self.workers == 1:
-            return map(_reverse_stable, tasks)
-        # Imported here so that commands which never search in parallel do
-        # not pay for loading the process pool.
+    def clock(self) -> float:
+        """Seconds that advance with this process's work and with the run
+        time of each task taken, but not while it waits for one."""
+        return time.perf_counter() + self.credit
+
+    def start(self) -> None:
+        """Start the pool and queue every task on it, once; for one worker,
+        or with nothing to queue, start nothing."""
+        if self.workers == 1 or self.futures is not None or not self.queued:
+            return
+        # Imported here so that commands which never run a pool do not pay
+        # for loading it.
         import signal
-        from concurrent.futures import ProcessPoolExecutor
+        import threading
+        from concurrent.futures import Future, ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
-        if self.executor is None:
-            size = min(self.workers, comb(self.largest, 2), os.cpu_count() or 1)
-            # A terminal sends Ctrl-C to the whole process group; only this
-            # process reports it, so the workers ignore it.
-            self.executor = ProcessPoolExecutor(
-                size, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
-            )
+        size = min(self.workers, len(self.queued), os.cpu_count() or 1)
+        self.executor = ProcessPoolExecutor(
+            size, initializer=_start_worker, initargs=(os.getpid(),)
+        )
+        owner, executor = os.getpid(), self.executor
+
+        def cancel_at_exit() -> None:
+            # A process that exits with the pool open, after an error or a
+            # Ctrl-C between two claims, would otherwise run every queued
+            # task first: the exit hook of concurrent.futures waits for
+            # them. This hook is registered later, so it runs before that
+            # one. The workers inherit it by fork and skip it.
+            if os.getpid() == owner:
+                executor.shutdown(cancel_futures=True)
+
+        threading._register_atexit(cancel_at_exit)
+        self.futures = {}
+        # Ctrl-C waits until every task is queued: raised inside the
+        # executor's locking, it can leave a lock held that close() then
+        # waits on forever. The pool's threads start here and inherit the
+        # mask, so the signal can only reach this thread.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
-            # Ctrl-C waits until every task is queued: raised inside the
-            # executor's locking, it can leave a lock held that close() then
-            # waits on forever. The pool's threads start here and inherit the
-            # mask, so the signal can only reach this thread.
-            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-            try:
-                results = self.executor.map(_reverse_stable, tasks)
-            finally:
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            return list(results)
+            for task in self.queued:
+                try:
+                    future = self.executor.submit(_timed, *task)
+                except BrokenProcessPool as exc:
+                    # A worker died already: the task that needs this
+                    # result reports it, so earlier claims still finish.
+                    future = Future()
+                    future.set_exception(exc)
+                self.futures[task] = future
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+    def results(self, run: Callable, args: list) -> list:
+        """run(arg) for each of args, in order. On the pool each (run, arg)
+        must be a queued task, and its result is taken from it."""
+        if self.workers == 1:
+            return list(map(run, args))
+        from concurrent.futures.process import BrokenProcessPool
+
+        try:
+            self.start()
+            results = [self._take((run, arg)) for arg in args]
         except BaseException as exc:
             self.close()
             if isinstance(exc, BrokenProcessPool):
                 raise ChildProcessError("a search worker ended abruptly") from None
             raise
+        if not self.futures:
+            self.close()
+        return results
+
+    def _take(self, task: tuple[Callable, object]) -> object:
+        waited = time.perf_counter()
+        result, seconds = self.futures.pop(task).result()
+        self.credit += seconds - (time.perf_counter() - waited)
+        return result
 
     def close(self) -> None:
         if self.executor is not None:
@@ -256,21 +336,18 @@ class _SearchPool:
 
 
 def _reverse_stable_members(n: int, pool: _SearchPool) -> list[tuple[int, ...]]:
-    """R_n in rank order: one search task for each pair of end letters
-    a < b, run on `pool`. The one word of S_1 is its own reverse."""
+    """R_n in rank order, from its pair tasks, run on `pool`. The one word
+    of S_1 is its own reverse."""
     if n == 1:
         return [(1,)]
-    tasks = [(n, a, b) for a in range(1, n) for b in range(a + 1, n + 1)]
-    return sorted(member for members in pool.map(tasks) for member in members)
+    found = pool.results(_reverse_stable, _pair_tasks(n))
+    return sorted(member for members in found for member in members)
 
 
 def _search_alone(n: int, workers: int) -> list[tuple[int, ...]]:
-    """R_n, on a pool of its own that is closed when the search ends."""
-    pool = _SearchPool(workers, n)
-    try:
-        return _reverse_stable_members(n, pool)
-    finally:
-        pool.close()
+    """R_n, on a pool of its own that closes when the search ends."""
+    pool = _SearchPool(workers, [(_reverse_stable, task) for task in _pair_tasks(n)])
+    return _reverse_stable_members(n, pool)
 
 
 def _hook_tableaux(n: int) -> list[StandardYoungTableau]:
@@ -429,14 +506,15 @@ def _report(
     workers: int,
     measure: Callable[[], tuple[int | bool, str | None]],
     formula: int | None = None,
+    clock: Callable[[], float] = time.perf_counter,
 ) -> VerificationReport:
-    """Time one claim and report it.
+    """Time one claim by `clock` and report it.
 
     measure returns the observed value and a detail line. A claim with a
     closed form passes when the observed count equals it; any other claim
     passes when it observes True.
     """
-    started = time.perf_counter()
+    started = clock()
     observed, detail = measure()
     expected = True if formula is None else formula
     return VerificationReport(
@@ -446,7 +524,7 @@ def _report(
         expected=expected,
         formula=formula,
         passed=observed == expected,
-        elapsed_ms=int((time.perf_counter() - started) * 1000),
+        elapsed_ms=int((clock() - started) * 1000),
         workers=workers,
         detail=detail,
     )
@@ -484,9 +562,21 @@ def verify(
     report, in SUITES order and then by size, which checks and reports
     when called. Symmetry and phi/theta stop at their caps, and transport
     sources at n_max - 2. Every range is checked here, before any claim
-    runs. The claims share one memo of R_n, so a report's elapsed_ms
-    counts only the work its own claim did, and one search pool, which
-    starts at the plan's first pooled search and closes after its last."""
+    runs. The claims share one memo of R_n, so each R_n is built once.
+
+    For one worker each claim runs in this process when it is called. For
+    more, the first claim called starts one pool and queues on it every
+    task of the plan: each symmetry and phi/theta claim whole, the largest
+    symmetric group scanned first (phi/theta at n scans S_{n+2}), and then
+    the pair tasks of every R_n the plan builds, by size. The indivisible
+    tasks start first and the many small ones fill the gaps. Each claim
+    then waits only on its own tasks, and the pool closes once every
+    result has been taken, or when a claim fails.
+
+    A report's elapsed_ms is the time of its claim's own work, plus the run
+    time of its own tasks where they ran; it never counts the time a claim
+    waited behind the tasks of other claims, nor the building of an R_n
+    that an earlier claim already built."""
     chosen = set(suites)
     if chosen - set(SUITES):
         raise ValueError(f"unknown suite {min(chosen - set(SUITES))!r}: expected one of {SUITES}")
@@ -499,30 +589,45 @@ def verify(
     for n in sizes["transport"] if "transport" in chosen else ():
         _check_count_range(n + 2, max_n)
         to_search.add(n + 2)
-    pool = _SearchPool(workers, max(to_search, default=1))
+    # Each whole n! claim with the size of the symmetric group it scans.
+    scans = [(n, _relations_failure, n) for n in sizes["symmetry"] if "symmetry" in chosen]
+    scans += [(n + 2, _phi_theta_failure, n) for n in sizes["phi_theta"] if "phi_theta" in chosen]
+    queued = [(failure, n) for _, failure, n in sorted(scans, key=lambda scan: -scan[0])]
+    queued += [(_reverse_stable, task) for n in sorted(to_search) for task in _pair_tasks(n)]
+    pool = _SearchPool(workers, queued)
+    members = cache(partial(_reverse_stable_members, pool=pool))
 
-    @cache
-    def members(n: int) -> list[tuple[int, ...]]:
-        found = _reverse_stable_members(n, pool)
-        to_search.discard(n)
-        if not to_search:
-            pool.close()
-        return found
+    def report(check: str, n: int, measure, formula: int | None = None) -> VerificationReport:
+        return _report(check, n, workers, measure, formula, pool.clock)
+
+    def pooled(check: str, failure: Callable[[int], str | None]) -> Callable[[int], object]:
+        return lambda n: report(check, n, lambda: _holds(pool.results(failure, [n])[0]))
 
     claims = {
-        "count": lambda n: _report(
-            "count_R", n, workers, lambda: (len(members(n)), None), count_R_formula(n)
+        "count": lambda n: report(
+            "count_R", n, lambda: (len(members(n)), None), count_R_formula(n)
         ),
-        "characterization": lambda n: _report(
-            "characterization", n, workers, lambda: _characterization(n, members(n))
+        "characterization": lambda n: report(
+            "characterization", n, lambda: _characterization(n, members(n))
         ),
-        "symmetry": partial(verify_symmetry_relations, workers=workers),
-        "phi_theta": partial(verify_phi_theta, workers=workers),
-        "transport": lambda n: _report(
-            "r_transport", n, workers, lambda: _transport(members(n + 2))
-        ),
+        "symmetry": pooled("symmetry_relations", _relations_failure),
+        "phi_theta": pooled("phi_theta", _phi_theta_failure),
+        "transport": lambda n: report("r_transport", n, lambda: _transport(members(n + 2))),
     }
-    return [partial(claims[suite], n) for suite in SUITES if suite in chosen for n in sizes[suite]]
+    if workers == 1:
+        # The same checks, through the entry points that run them alone.
+        claims["symmetry"] = partial(verify_symmetry_relations, workers=1)
+        claims["phi_theta"] = partial(verify_phi_theta, workers=1)
+
+    def claim(suite: str, n: int) -> VerificationReport:
+        try:
+            pool.start()
+            return claims[suite](n)
+        except BaseException:
+            pool.close()
+            raise
+
+    return [partial(claim, suite, n) for suite in SUITES if suite in chosen for n in sizes[suite]]
 
 
 def verify_count_theorem(
@@ -544,7 +649,8 @@ def verify_characterization(
 
 def verify_symmetry_relations(n: int, *, workers: int = 1) -> VerificationReport:
     """Check the eight tableau-pair identities for every permutation of
-    size n. The check runs in this process; workers is only echoed."""
+    size n. Called alone, the check runs in this process and workers is
+    only echoed; only a `verify` plan runs it on its pool."""
     if not 1 <= n <= SYMMETRY_MAX_N:
         raise ValueError(f"n={n} outside the supported range [1, {SYMMETRY_MAX_N}]")
     _check_workers(workers)
@@ -554,8 +660,9 @@ def verify_symmetry_relations(n: int, *, workers: int = 1) -> VerificationReport
 def verify_phi_theta(n: int, *, workers: int = 1) -> VerificationReport:
     """Check that projection undoes every lift of every size-n permutation,
     that the lift images tile the symmetric group two sizes up exactly, and
-    that projection commutes with reverse and complement there. The check
-    runs in this process; workers is only echoed."""
+    that projection commutes with reverse and complement there. Called
+    alone, the check runs in this process and workers is only echoed; only
+    a `verify` plan runs it on its pool."""
     if not 1 <= n <= PHI_THETA_MAX_N:
         raise ValueError(f"n={n} outside the supported range [1, {PHI_THETA_MAX_N}]")
     _check_workers(workers)

@@ -10,10 +10,12 @@ import sys
 import time
 
 from rskcheck.enumeration import (
+    SUITES,
     count_M,
     count_R,
     count_R_formula,
     symmetric_hook_shape,
+    verify,
     verify_characterization,
     verify_count_theorem,
     verify_phi_theta,
@@ -176,6 +178,17 @@ def test_criterion_8_worker_determinism():
         for workers in (1, 2, 8)
     }
     assert map_law_runs[1] == map_law_runs[2] == map_law_runs[8]
+
+
+def test_criterion_8_whole_plan_worker_determinism():
+    # every suite, with the n! claims and the R searches on one pool
+    runs = {}
+    for workers in (1, 2, 8):
+        reports = [claim() for claim in verify(SUITES, 8, workers=workers)]
+        runs[workers] = [(strip_timing(r), r.detail) for r in reports]
+    assert len(runs[1]) == 35
+    assert all(payload["passed"] for payload, _ in runs[1])
+    assert runs[1] == runs[2] == runs[8]
 
 
 def test_criterion_9_check_command_on_34521():

@@ -7,6 +7,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,13 @@ def die_in_a_pool_worker(task):
     if os.getpid() != TEST_PROCESS:
         os._exit(1)
     return real_reverse_stable(task)
+
+
+def end_the_pool_worker(n):
+    """A whole symmetry or phi/theta claim that ends the pool worker running
+    it at once, as a crash would. Only a pool runs it."""
+    assert os.getpid() != TEST_PROCESS
+    os._exit(1)
 
 
 def ignores_interrupts(task):
@@ -355,21 +363,32 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("as_json", [False, True])
     def test_dead_worker_exit_3(self, capsys, tmp_path, monkeypatch, as_json):
-        monkeypatch.setattr(enumeration, "_reverse_stable", die_in_a_pool_worker)
-        out_file = tmp_path / "reports.jsonl"
-        code, out, err = run_cli(
-            capsys,
-            "verify", "--count", "--n-max", "3", "--workers", "2",
-            "--out", str(out_file), *(["--json"] if as_json else []),
-        )
-        # R_1 needs no search; R_2 starts the pool
-        assert (code, err) == (3, "error: a search worker ended abruptly\n")
-        lines = out_file.read_text().splitlines()
-        assert [(r["check"], r["n"]) for r in map(json.loads, lines)] == [("count_R", 1)]
-        if as_json:
-            assert out.splitlines() == lines
-        else:
-            assert [line.split()[:3] for line in out.splitlines()] == [["PASS", "count_R", "n=1"]]
+        # The worker dies in an R pair task, or in a whole symmetry or
+        # phi/theta claim queued before them. R_1 needs no task, so count_R
+        # at n = 1 reports; count_R at n = 2 waits on the broken pool.
+        deaths = [
+            ("_reverse_stable", die_in_a_pool_worker, []),
+            ("_relations_failure", end_the_pool_worker, ["--symmetry"]),
+            ("_phi_theta_failure", end_the_pool_worker, ["--phi-theta"]),
+        ]
+        for name, death, suites in deaths:
+            out_file = tmp_path / f"{name}.jsonl"
+            with monkeypatch.context() as patch:
+                patch.setattr(enumeration, name, death)
+                code, out, err = run_cli(
+                    capsys,
+                    "verify", "--count", *suites, "--n-max", "3", "--workers", "2",
+                    "--out", str(out_file), *(["--json"] if as_json else []),
+                )
+            assert (code, err) == (3, "error: a search worker ended abruptly\n")
+            lines = out_file.read_text().splitlines()
+            assert [(r["check"], r["n"]) for r in map(json.loads, lines)] == [("count_R", 1)]
+            if as_json:
+                assert out.splitlines() == lines
+            else:
+                assert [line.split()[:3] for line in out.splitlines()] == [
+                    ["PASS", "count_R", "n=1"]
+                ]
 
     def test_one_pool_per_run(self, capsys, tmp_path, monkeypatch):
         started = []
@@ -437,6 +456,65 @@ class TestVerifyCommand:
                 os.killpg(proc.pid, signal.SIGKILL)
                 proc.communicate()
         assert (proc.returncode, err) == (130, "error: interrupted\n")
+
+    def test_pool_workers_end_when_the_cli_is_killed(self, tmp_path):
+        # A CLI killed by a signal it cannot handle never closes its pool;
+        # its workers must still not outlive it.
+        argv = ["verify", "--count", "--n-max", "10", "--workers", "2"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rskcheck", *argv, "--out", str(tmp_path / "r.jsonl")],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            # the pool is running by the n = 2 report
+            for n in range(1, 4):
+                assert f"n={n} " in proc.stdout.readline()
+            proc.kill()
+            # reap only the CLI: its workers hold its pipes open
+            proc.wait(timeout=60)
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline:
+                try:
+                    os.killpg(proc.pid, 0)
+                except ProcessLookupError:
+                    break
+                time.sleep(0.1)
+            else:
+                pytest.fail("pool workers outlived the killed CLI")
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+
+
+    def test_exit_with_the_pool_open_cancels_the_queued_tasks(self, tmp_path):
+        # An error or a Ctrl-C between two claims leaves the plan's pool
+        # open with tasks queued; the process must not run them all first.
+        ran = tmp_path / "ran"
+        script = f"""
+import sys, time
+from rskcheck import enumeration
+
+def slow(task):
+    with open({str(ran)!r}, "a") as log:
+        log.write("x")
+    time.sleep(0.2)
+    return []
+
+enumeration._reverse_stable = slow
+claims = enumeration.verify(["count"], 10, workers=2)
+claims[0]()
+sys.exit(3)
+"""
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 3, result.stderr
+        # R_2 to R_10 queue 165 tasks; only those already started may run
+        assert len(ran.read_text() if ran.exists() else "") < 10
 
 
 class TestErrorPaths:

@@ -3,6 +3,7 @@ import functools
 import json
 import os
 import re
+from concurrent.futures.process import BrokenProcessPool
 from math import factorial
 
 import pytest
@@ -383,19 +384,29 @@ class TestPhiThetaAgainstBruteForce:
 
 class SerialPool:
     """Stands in for the process pool: records its size, when it starts and
-    shuts down, and maps in this process, so no test here starts a real
-    pool. It does not run the initializer, which would make this process
-    ignore Ctrl-C."""
+    shuts down, and the function name and argument of each task queued on
+    it. It runs each task in this process as it is queued, and keeps what
+    the task raised for the future, so no test here starts a real pool. It
+    does not run the initializer, which would make this process ignore
+    Ctrl-C."""
 
     sizes: list[int] = []
     events: list[object] = []
+    queued: list[tuple[str, object]] = []
 
     def __init__(self, max_workers, initializer=None, initargs=()):
         self.sizes.append(max_workers)
         self.events.append("start")
 
-    def map(self, fn, iterable):
-        return map(fn, iterable)
+    def submit(self, fn, *args):
+        run, arg = args
+        self.queued.append((run.__name__, arg))
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args))
+        except BaseException as exc:
+            future.set_exception(exc)
+        return future
 
     def shutdown(self, wait=True, *, cancel_futures=False):
         self.events.append("close")
@@ -405,6 +416,7 @@ class SerialPool:
 def serial_pool(monkeypatch):
     monkeypatch.setattr(SerialPool, "sizes", [])
     monkeypatch.setattr(SerialPool, "events", [])
+    monkeypatch.setattr(SerialPool, "queued", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     return SerialPool
 
@@ -416,14 +428,14 @@ class TestPoolSize:
             (2, 64, [2]),  # one pool for the plan, never larger than the CPUs
             (None, 64, [1]),  # unknown CPU count: one process
             (8, 3, [3]),  # nor the workers asked for
-            (16, 64, [10]),  # nor the tasks of the largest search: ten at n = 5
+            (16, 64, [10]),  # nor the tasks queued: ten, for R_2 to R_4
         ],
     )
     def test_pool_capped_at_chunks_and_cpus(self, monkeypatch, serial_pool, cpus, workers, expected):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        reports = verify_count_theorem(5, workers=workers)
+        reports = verify_count_theorem(4, workers=workers)
         assert serial_pool.sizes == expected
-        assert [r.observed for r in reports] == [1, 0, 4, 0, 24]
+        assert [r.observed for r in reports] == [1, 0, 4, 0]
         assert all(r.passed and r.workers == workers for r in reports)
 
     def test_one_task_per_pair_of_end_letters(self, monkeypatch, serial_pool):
@@ -439,13 +451,31 @@ class TestPoolSize:
         for claim in verify(SUITES, 5, workers=2):
             report = claim()
             serial_pool.events.append((report.check, report.n))
-        # R_1 needs no pool; R_2 starts it, and R_5, the last R_n the plan
-        # needs, closes it before its report and the later suites
-        assert serial_pool.events[:7] == [
-            ("count_R", 1), "start", ("count_R", 2), ("count_R", 3), ("count_R", 4),
-            "close", ("count_R", 5),
+        # The first claim starts the plan's one pool, though R_1 needs no
+        # task. phi/theta at n = 5 takes the last queued result and closes
+        # the pool before its report; transport takes R_3 to R_5 from the
+        # memo.
+        assert serial_pool.events[:2] == ["start", ("count_R", 1)]
+        assert serial_pool.events[-5:] == [
+            "close", ("phi_theta", 5), ("r_transport", 1), ("r_transport", 2), ("r_transport", 3),
         ]
         assert serial_pool.events.count("start") == serial_pool.events.count("close") == 1
+
+    def test_queue_order_whole_claims_largest_group_first(self, serial_pool):
+        assert all(claim().passed for claim in verify(SUITES, 5, workers=2))
+        # phi/theta at n scans S_{n+2}; ties keep SUITES order
+        whole = [
+            ("_phi_theta_failure", 5), ("_phi_theta_failure", 4),
+            ("_relations_failure", 5), ("_phi_theta_failure", 3),
+            ("_relations_failure", 4), ("_phi_theta_failure", 2),
+            ("_relations_failure", 3), ("_phi_theta_failure", 1),
+            ("_relations_failure", 2), ("_relations_failure", 1),
+        ]
+        pairs = [
+            ("_reverse_stable", (n, a, b))
+            for n in range(2, 6) for a in range(1, n) for b in range(a + 1, n + 1)
+        ]
+        assert serial_pool.queued == whole + pairs
 
     def test_interrupted_search_closes_the_plan_pool(self, monkeypatch, serial_pool):
         def interrupt(task):
@@ -458,11 +488,55 @@ class TestPoolSize:
             claims[1]()
         assert serial_pool.events == ["start", "close"]
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    def test_interrupted_claim_closes_the_plan_pool(self, monkeypatch, serial_pool):
+        # Ctrl-C in a claim's own work, with tasks still queued
+        def interrupt(n, members):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(enumeration, "_characterization", interrupt)
+        claims = verify(["characterization", "symmetry"], 3, workers=2)
+        with pytest.raises(KeyboardInterrupt):
+            claims[0]()
+        assert serial_pool.events == ["start", "close"]
+
+    def test_pool_broken_while_queueing_fails_only_the_claims_that_need_it(
+        self, monkeypatch, serial_pool
+    ):
+        real = SerialPool.submit
+
+        def submit(self, fn, *args):
+            if self.queued:
+                raise BrokenProcessPool("a worker ended")
+            return real(self, fn, *args)
+
+        monkeypatch.setattr(SerialPool, "submit", submit)
+        claims = verify(["count"], 3, workers=2)
+        assert claims[0]().passed  # R_1 needs no task
+        assert claims[1]().passed  # R_2's one task was queued before the break
+        with pytest.raises(ChildProcessError, match="a search worker ended abruptly"):
+            claims[2]()
+        assert serial_pool.events == ["start", "close"]
+
+    @pytest.mark.parametrize("workers", [1])
     def test_n_factorial_suites_start_no_pool(self, serial_pool, workers):
         claims = verify(["symmetry", "phi_theta"], 4, workers=workers)
         assert all(claim().passed for claim in claims)
         assert serial_pool.sizes == []
+
+    def test_n_factorial_claims_share_the_plan_pool(self, monkeypatch, serial_pool):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        claims = verify(["symmetry", "phi_theta"], 4, workers=64)
+        assert all(claim().passed for claim in claims)
+        # one task per claim, and one process per task queued
+        assert serial_pool.sizes == [8]
+        assert serial_pool.events == ["start", "close"]
+
+    def test_elapsed_counts_run_time_not_waiting(self, monkeypatch, serial_pool):
+        # Each task reports a run time of 2 s where it ran.
+        monkeypatch.setattr(enumeration, "_timed", lambda run, arg: (run(arg), 2.0))
+        reports = [claim() for claim in verify(["count", "symmetry"], 3, workers=2)]
+        # R_1 has no task, R_2 one and R_3 three
+        assert [r.elapsed_ms // 1000 for r in reports] == [0, 2, 6, 2, 2, 2]
 
 
 class TestListSet:

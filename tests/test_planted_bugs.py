@@ -130,6 +130,32 @@ def test_symmetry_fails_with_identity_evacuation(monkeypatch, workers):
 
 
 @WORKERS
+def test_symmetry_failure_reaches_the_cli(capsys, monkeypatch, tmp_path, workers):
+    monkeypatch.setattr(enumeration, "evacuation", lambda t: t)
+    code = cli.main(
+        [
+            "verify",
+            "--symmetry",
+            "--n-max",
+            "3",
+            "--workers",
+            str(workers),
+            "--out",
+            str(tmp_path / "reports.jsonl"),
+        ]
+    )
+    out = capsys.readouterr().out
+    assert code == 1
+    assert [line.split()[:3] for line in out.splitlines()] == [
+        ["PASS", "symmetry_relations", "n=1"],
+        ["PASS", "symmetry_relations", "n=2"],
+        ["FAIL", "symmetry_relations", "n=3"],
+        ["complement", "relation", "fails"],
+    ]
+    assert out.splitlines()[-1].strip() == "complement relation fails for 1 3 2"
+
+
+@WORKERS
 def test_phi_theta_fails_when_projection_misses(monkeypatch, workers):
     monkeypatch.setattr(enumeration, "theta", theta_reversed)
     reports = [enumeration.verify_phi_theta(n, workers=workers) for n in range(1, 4)]
