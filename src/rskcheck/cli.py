@@ -2,9 +2,10 @@
 
 Exit codes: 0 on success (and on verification passes), 1 when any emitted
 verification report fails or a membership check is negative, 2 on usage,
-parse, or range errors, 3 when a search worker process dies, 130 when
-interrupted (Ctrl-C). On the last two, `verify` keeps the reports that
-finished, on stdout and in its report file.
+parse, or range errors, 3 when a pool worker process dies, 130 when
+interrupted (Ctrl-C), 141 when the reader of stdout has closed it, as in
+`rskcheck verify ... | head -1`; the last is silent. On 3 and 130, `verify`
+keeps the reports that finished, on stdout and in its report file.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ USAGE_ERROR = 2
 CHECK_FAILED = 1
 WORKER_DIED = 3
 INTERRUPTED = 130
+PIPE_CLOSED = 141  # 128 + SIGPIPE, as 130 is 128 + SIGINT
 
 
 def _emit(payload: dict, as_json: bool, text: str) -> None:
@@ -236,7 +238,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.n_max < 1:
         raise ValueError(f"--n-max must be at least 1, got {args.n_max}")
     chosen = [suite for suite in enumeration.SUITES if getattr(args, suite)]
-    claims = enumeration.verify(
+    plan = enumeration.verify(
         chosen if chosen and not args.all else enumeration.SUITES,
         args.n_max,
         workers=args.workers,
@@ -247,7 +249,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise ValueError(f"cannot open report file {args.out}: {exc.strerror}") from None
     passed = True
-    with out:
+    # Leaving the plan early, on an error or a closed stdout, cancels its queue.
+    with plan as claims, out:
         for claim in claims:
             report = claim()
             out.write(report.to_json() + "\n")
@@ -337,20 +340,28 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if hasattr(args, "workers"):
-            enumeration._check_workers(args.workers)
-        return args.func(args)
-    except ValueError as exc:
-        if getattr(args, "json", False):
-            print(json.dumps({"error": str(exc)}, separators=(",", ":")))
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except ChildProcessError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return WORKER_DIED
-    except KeyboardInterrupt:
-        print("error: interrupted", file=sys.stderr)
-        return INTERRUPTED
+        try:
+            if hasattr(args, "workers"):
+                enumeration._check_workers(args.workers)
+            return args.func(args)
+        except ValueError as exc:
+            if getattr(args, "json", False):
+                print(json.dumps({"error": str(exc)}, separators=(",", ":")))
+            print(f"error: {exc}", file=sys.stderr)
+            return USAGE_ERROR
+        except ChildProcessError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return WORKER_DIED
+        except KeyboardInterrupt:
+            print("error: interrupted", file=sys.stderr)
+            return INTERRUPTED
+        finally:
+            # Output for a closed stdout fails here, not at interpreter exit.
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # With fd 1 on the null device, the flush at exit has nothing to fail on.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return PIPE_CLOSED
 
 
 if __name__ == "__main__":

@@ -26,17 +26,16 @@ a < b; each searches the words with w_1 = a and w_n = b and adds the
 reverse of every member it finds. The tasks and their order do not
 depend on the worker count, so no result does either.
 
-`verify` plans a verification run, checks every range and the worker
-count before any work starts, and shares one memo of R_n between the
-count, characterization and transport claims, so a run builds each R_n
-once. For one worker every task runs in this process, when its claim
-runs. For more, the plan's first claim starts one pool of at most
-`workers` processes and queues on it every task of the plan, the whole
-symmetry and phi/theta claims first; the pool closes once every result
-has been taken. A worker that dies ends the run with ChildProcessError.
-`count_R`, `list_set` and `verify_R_transport` called alone start a pool
-of their own for their search, and `verify_symmetry_relations` and
-`verify_phi_theta` called alone run in this process.
+`verify` plans a verification run, and every public entry point that
+searches or scans is a plan of one claim. A plan checks every range and
+the worker count before any work starts, and shares one memo of R_n
+between the count, characterization and transport claims, so a run
+builds each R_n once. A plan whose pool would hold one process, for one
+worker, one CPU or one task, runs every task in this process when its
+claim runs. Otherwise its first claim starts one pool and queues on it
+every task of the plan, the whole symmetry and phi/theta claims first;
+the pool closes once every result has been taken, or when the plan is
+closed. A worker that dies ends the run with ChildProcessError.
 """
 
 from __future__ import annotations
@@ -64,7 +63,6 @@ __all__ = [
     "SYMMETRY_MAX_N",
     "SetName",
     "VerificationReport",
-    "append_reports",
     "count_H",
     "count_M",
     "count_M_formula",
@@ -110,13 +108,6 @@ class VerificationReport(namedtuple("VerificationReport", _REPORT_FIELDS, defaul
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), separators=(",", ":"))
-
-
-def append_reports(reports: list[VerificationReport], path: str | os.PathLike[str]) -> None:
-    """Append reports to a JSON-lines file, one report per line."""
-    with open(path, "a", encoding="utf-8") as handle:
-        for report in reports:
-            handle.write(report.to_json() + "\n")
 
 
 def count_R_formula(n: int) -> int:
@@ -235,119 +226,13 @@ def _start_worker(parent: int) -> None:
     threading.Thread(target=watch, daemon=True).start()
 
 
-class _SearchPool:
-    """Runs tasks, each a function and its argument: for one worker in this
-    process, when they are asked for; otherwise on one process pool. The
-    pool starts at start() or at the first request, queues every task of
-    `queued` in that order, and closes once every queued result has been
-    taken. It never holds more processes than requested, CPUs, or queued
-    tasks. A failure or an interrupt closes it, and the tasks not yet
-    started are cancelled."""
-
-    def __init__(self, workers: int, queued: list[tuple[Callable, object]]) -> None:
-        _check_workers(workers)
-        self.workers = workers
-        self.queued = queued
-        self.futures = None  # task -> future, once the pool has started
-        self.executor = None
-        self.credit = 0.0
-
-    def clock(self) -> float:
-        """Seconds that advance with this process's work and with the run
-        time of each task taken, but not while it waits for one."""
-        return time.perf_counter() + self.credit
-
-    def start(self) -> None:
-        """Start the pool and queue every task on it, once; for one worker,
-        or with nothing to queue, start nothing."""
-        if self.workers == 1 or self.futures is not None or not self.queued:
-            return
-        # Imported here so that commands which never run a pool do not pay
-        # for loading it.
-        import signal
-        import threading
-        from concurrent.futures import Future, ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        size = min(self.workers, len(self.queued), os.cpu_count() or 1)
-        self.executor = ProcessPoolExecutor(
-            size, initializer=_start_worker, initargs=(os.getpid(),)
-        )
-        owner, executor = os.getpid(), self.executor
-
-        def cancel_at_exit() -> None:
-            # A process that exits with the pool open, after an error or a
-            # Ctrl-C between two claims, would otherwise run every queued
-            # task first: the exit hook of concurrent.futures waits for
-            # them. This hook is registered later, so it runs before that
-            # one. The workers inherit it by fork and skip it.
-            if os.getpid() == owner:
-                executor.shutdown(cancel_futures=True)
-
-        threading._register_atexit(cancel_at_exit)
-        self.futures = {}
-        # Ctrl-C waits until every task is queued: raised inside the
-        # executor's locking, it can leave a lock held that close() then
-        # waits on forever. The pool's threads start here and inherit the
-        # mask, so the signal can only reach this thread.
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-        try:
-            for task in self.queued:
-                try:
-                    future = self.executor.submit(_timed, *task)
-                except BrokenProcessPool as exc:
-                    # A worker died already: the task that needs this
-                    # result reports it, so earlier claims still finish.
-                    future = Future()
-                    future.set_exception(exc)
-                self.futures[task] = future
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-
-    def results(self, run: Callable, args: list) -> list:
-        """run(arg) for each of args, in order. On the pool each (run, arg)
-        must be a queued task, and its result is taken from it."""
-        if self.workers == 1:
-            return list(map(run, args))
-        from concurrent.futures.process import BrokenProcessPool
-
-        try:
-            self.start()
-            results = [self._take((run, arg)) for arg in args]
-        except BaseException as exc:
-            self.close()
-            if isinstance(exc, BrokenProcessPool):
-                raise ChildProcessError("a search worker ended abruptly") from None
-            raise
-        if not self.futures:
-            self.close()
-        return results
-
-    def _take(self, task: tuple[Callable, object]) -> object:
-        waited = time.perf_counter()
-        result, seconds = self.futures.pop(task).result()
-        self.credit += seconds - (time.perf_counter() - waited)
-        return result
-
-    def close(self) -> None:
-        if self.executor is not None:
-            self.executor.shutdown(cancel_futures=True)
-            self.executor = None
-
-
-def _reverse_stable_members(n: int, pool: _SearchPool) -> list[tuple[int, ...]]:
-    """R_n in rank order, from its pair tasks, run on `pool`. The one word
-    of S_1 is its own reverse."""
+def _reverse_stable_members(n: int, pool: _Plan) -> list[tuple[int, ...]]:
+    """R_n in rank order, from its pair tasks, run by the plan `pool`. The
+    one word of S_1 is its own reverse."""
     if n == 1:
         return [(1,)]
     found = pool.results(_reverse_stable, _pair_tasks(n))
     return sorted(member for members in found for member in members)
-
-
-def _search_alone(n: int, workers: int) -> list[tuple[int, ...]]:
-    """R_n, on a pool of its own that closes when the search ends."""
-    pool = _SearchPool(workers, [(_reverse_stable, task) for task in _pair_tasks(n)])
-    return _reverse_stable_members(n, pool)
 
 
 def _hook_tableaux(n: int) -> list[StandardYoungTableau]:
@@ -442,8 +327,8 @@ def _check_count_range(n: int, max_n: int) -> None:
 def count_R(n: int, *, workers: int = 1, max_n: int = DEFAULT_MAX_COUNT_N) -> int:
     """Exhaustive count of permutations sharing a recording tableau with
     their reverse, by the two-ended pruned search."""
-    _check_count_range(n, max_n)
-    return len(_search_alone(n, workers))
+    with _Plan([("count", n)], workers, max_n) as plan:
+        return plan[0]().observed
 
 
 def count_H(n: int, *, workers: int = 1, max_n: int = DEFAULT_MAX_COUNT_N) -> int:
@@ -489,7 +374,8 @@ def list_set(
         )
     _check_count_range(n, max_n)
     if which == "R":
-        members = _search_alone(n, workers)
+        with _Plan([("count", n)], workers, max_n) as plan:
+            members = plan.members(n)
     else:
         _check_workers(workers)
         members = _inverse_images(_hook_tableaux(n))
@@ -498,36 +384,6 @@ def list_set(
 
 # ---------------------------------------------------------------------------
 # verification sweeps
-
-
-def _report(
-    check: str,
-    n: int,
-    workers: int,
-    measure: Callable[[], tuple[int | bool, str | None]],
-    formula: int | None = None,
-    clock: Callable[[], float] = time.perf_counter,
-) -> VerificationReport:
-    """Time one claim by `clock` and report it.
-
-    measure returns the observed value and a detail line. A claim with a
-    closed form passes when the observed count equals it; any other claim
-    passes when it observes True.
-    """
-    started = clock()
-    observed, detail = measure()
-    expected = True if formula is None else formula
-    return VerificationReport(
-        check=check,
-        n=n,
-        observed=observed,
-        expected=expected,
-        formula=formula,
-        passed=observed == expected,
-        elapsed_ms=int((clock() - started) * 1000),
-        workers=workers,
-        detail=detail,
-    )
 
 
 def _holds(failure: str | None) -> tuple[bool, str | None]:
@@ -555,23 +411,202 @@ def _transport(members: list[tuple[int, ...]]) -> tuple[bool, str]:
     return True, f"checked {len(members)} members"
 
 
+class _Plan(list):
+    """A planned run, as `verify` describes it: the list of its claims,
+    each of which checks and reports when called, with the one pool that
+    runs their tasks and one memo of R_n. It is made from (suite, n) pairs,
+    and checks every range and the worker count before any claim runs. Each
+    task is a function and its argument; `queued` holds them in the order
+    the pool takes them."""
+
+    def __init__(
+        self, claims: list[tuple[str, int]], workers: int, max_n: int = DEFAULT_MAX_COUNT_N
+    ) -> None:
+        caps = {"symmetry": SYMMETRY_MAX_N, "phi_theta": PHI_THETA_MAX_N}
+        built = set()  # the size of each R_n that a claim takes its members from
+        for suite, n in claims:
+            if suite in caps and not 1 <= n <= caps[suite]:
+                raise ValueError(f"n={n} outside the supported range [1, {caps[suite]}]")
+            if suite == "transport" and n < 1:
+                raise ValueError(f"size must be positive, got {n}")
+            if suite not in caps:
+                built.add(n + 2 if suite == "transport" else n)
+        for n in sorted(built):
+            _check_count_range(n, max_n)
+        _check_workers(workers)
+        # Each whole n! claim with the size of the symmetric group it scans.
+        scans = [(n, _relations_failure, n) for suite, n in claims if suite == "symmetry"]
+        scans += [(n + 2, _phi_theta_failure, n) for suite, n in claims if suite == "phi_theta"]
+        self.queued = [(failure, n) for _, failure, n in sorted(scans, key=lambda scan: -scan[0])]
+        self.queued += [(_reverse_stable, task) for n in sorted(built) for task in _pair_tasks(n)]
+        self.workers = workers
+        self.size = min(workers, len(self.queued), os.cpu_count() or 1)
+        self.futures = None  # task -> future, once the pool has started
+        self.executor = None
+        self.credit = 0.0
+        self.members = members = cache(partial(_reverse_stable_members, pool=self))
+        report = self._report
+
+        def pooled(check: str, failure: Callable[[int], str | None]) -> Callable[[int], object]:
+            return lambda n: report(check, n, lambda: _holds(self.results(failure, [n])[0]))
+
+        reports = {
+            "count": lambda n: report(
+                "count_R", n, lambda: (len(members(n)), None), count_R_formula(n)
+            ),
+            "characterization": lambda n: report(
+                "characterization", n, lambda: _characterization(n, members(n))
+            ),
+            "symmetry": pooled("symmetry_relations", _relations_failure),
+            "phi_theta": pooled("phi_theta", _phi_theta_failure),
+            "transport": lambda n: report("r_transport", n, lambda: _transport(members(n + 2))),
+        }
+        super().__init__(partial(self._claim, reports[suite], n) for suite, n in claims)
+
+    def _claim(self, report: Callable[[int], VerificationReport], n: int) -> VerificationReport:
+        try:
+            self.start()
+            return report(n)
+        except BaseException:
+            self.close()
+            raise
+
+    def _report(
+        self,
+        check: str,
+        n: int,
+        measure: Callable[[], tuple[int | bool, str | None]],
+        formula: int | None = None,
+    ) -> VerificationReport:
+        """Time one claim by the plan's clock and report it.
+
+        measure returns the observed value and a detail line. A claim with a
+        closed form passes when the observed count equals it; any other claim
+        passes when it observes True.
+        """
+        started = self.clock()
+        observed, detail = measure()
+        expected = True if formula is None else formula
+        return VerificationReport(
+            check=check,
+            n=n,
+            observed=observed,
+            expected=expected,
+            formula=formula,
+            passed=observed == expected,
+            elapsed_ms=int((self.clock() - started) * 1000),
+            workers=self.workers,
+            detail=detail,
+        )
+
+    def clock(self) -> float:
+        """Seconds that advance with this process's work and with the run
+        time of each task taken, but not while it waits for one."""
+        return time.perf_counter() + self.credit
+
+    def start(self) -> None:
+        """Start the pool and queue every task on it, once; for a pool of
+        one process, start nothing."""
+        if self.size <= 1 or self.futures is not None:
+            return
+        # Imported here so that commands which never run a pool do not pay
+        # for loading it.
+        import signal
+        import threading
+        from concurrent.futures import Future, ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        self.executor = ProcessPoolExecutor(
+            self.size, initializer=_start_worker, initargs=(os.getpid(),)
+        )
+        owner, executor = os.getpid(), self.executor
+
+        def cancel_at_exit() -> None:
+            # A process that exits with the pool open, after an error or a
+            # Ctrl-C between two claims, would otherwise run every queued
+            # task first: the exit hook of concurrent.futures waits for
+            # them. This hook is registered later, so it runs before that
+            # one. The workers inherit it by fork and skip it.
+            if os.getpid() == owner:
+                executor.shutdown(cancel_futures=True)
+
+        threading._register_atexit(cancel_at_exit)
+        self.futures = {}
+        # Ctrl-C waits until every task is queued: raised inside the
+        # executor's locking, it can leave a lock held that close() then
+        # waits on forever. The pool's threads start here and inherit the
+        # mask, so the signal can only reach this thread.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            for task in self.queued:
+                try:
+                    future = self.executor.submit(_timed, *task)
+                except BrokenProcessPool as exc:
+                    # A worker died already: the task that needs this
+                    # result reports it, so earlier claims still finish.
+                    future = Future()
+                    future.set_exception(exc)
+                self.futures[task] = future
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+    def results(self, run: Callable, args: list) -> list:
+        """run(arg) for each of args, in order. On the pool each (run, arg)
+        must be a queued task, and its result is taken from it."""
+        if self.size <= 1:
+            return list(map(run, args))
+        from concurrent.futures.process import BrokenProcessPool
+
+        self.start()
+        try:
+            results = [self._take((run, arg)) for arg in args]
+        except BrokenProcessPool:
+            # The worker may have died in any task it ran, not only in the
+            # one this result waits on, so the message names no task.
+            raise ChildProcessError("a pool worker ended abruptly") from None
+        if not self.futures:
+            self.close()
+        return results
+
+    def _take(self, task: tuple[Callable, object]) -> object:
+        waited = time.perf_counter()
+        result, seconds = self.futures.pop(task).result()
+        self.credit += seconds - (time.perf_counter() - waited)
+        return result
+
+    def close(self) -> None:
+        """Close the pool, if it runs; the tasks not yet started are cancelled."""
+        if self.executor is not None:
+            self.executor.shutdown(cancel_futures=True)
+            self.executor = None
+
+    def __enter__(self) -> _Plan:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+
 def verify(
     suites: Iterable[str], n_max: int, *, workers: int = 1, max_n: int = DEFAULT_MAX_COUNT_N
-) -> list[Callable[[], VerificationReport]]:
+) -> _Plan:
     """Plan a run of the named suites up to size n_max: one claim per
     report, in SUITES order and then by size, which checks and reports
     when called. Symmetry and phi/theta stop at their caps, and transport
     sources at n_max - 2. Every range is checked here, before any claim
     runs. The claims share one memo of R_n, so each R_n is built once.
 
-    For one worker each claim runs in this process when it is called. For
-    more, the first claim called starts one pool and queues on it every
-    task of the plan: each symmetry and phi/theta claim whole, the largest
-    symmetric group scanned first (phi/theta at n scans S_{n+2}), and then
-    the pair tasks of every R_n the plan builds, by size. The indivisible
-    tasks start first and the many small ones fill the gaps. Each claim
-    then waits only on its own tasks, and the pool closes once every
-    result has been taken, or when a claim fails.
+    The plan is a list of its claims. When its pool would hold one process,
+    for one worker, one CPU or one task, each claim runs in this process
+    when it is called. Otherwise the first claim called starts one pool and
+    queues on it every task of the plan: each symmetry and phi/theta claim
+    whole, the largest symmetric group scanned first (phi/theta at n scans
+    S_{n+2}), and then the pair tasks of every R_n the plan builds, by size.
+    The indivisible tasks start first and the many small ones fill the
+    gaps. Each claim then waits only on its own tasks, and the pool closes
+    once every result has been taken, or when a claim fails. A caller that
+    leaves the plan early closes it, by close() or at the end of a `with`
+    block, which cancels the tasks not yet started.
 
     A report's elapsed_ms is the time of its claim's own work, plus the run
     time of its own tasks where they ran; it never counts the time a claim
@@ -580,54 +615,13 @@ def verify(
     chosen = set(suites)
     if chosen - set(SUITES):
         raise ValueError(f"unknown suite {min(chosen - set(SUITES))!r}: expected one of {SUITES}")
+    if chosen & {"count", "characterization"}:
+        # Checked first, so that a run past max_n names its top size.
+        _check_count_range(n_max, max_n)
     caps = {"symmetry": SYMMETRY_MAX_N, "phi_theta": PHI_THETA_MAX_N, "transport": n_max - 2}
     sizes = {suite: range(1, min(n_max, caps.get(suite, n_max)) + 1) for suite in SUITES}
-    to_search = set()
-    if chosen & {"count", "characterization"}:
-        _check_count_range(n_max, max_n)
-        to_search.update(sizes["count"])
-    for n in sizes["transport"] if "transport" in chosen else ():
-        _check_count_range(n + 2, max_n)
-        to_search.add(n + 2)
-    # Each whole n! claim with the size of the symmetric group it scans.
-    scans = [(n, _relations_failure, n) for n in sizes["symmetry"] if "symmetry" in chosen]
-    scans += [(n + 2, _phi_theta_failure, n) for n in sizes["phi_theta"] if "phi_theta" in chosen]
-    queued = [(failure, n) for _, failure, n in sorted(scans, key=lambda scan: -scan[0])]
-    queued += [(_reverse_stable, task) for n in sorted(to_search) for task in _pair_tasks(n)]
-    pool = _SearchPool(workers, queued)
-    members = cache(partial(_reverse_stable_members, pool=pool))
-
-    def report(check: str, n: int, measure, formula: int | None = None) -> VerificationReport:
-        return _report(check, n, workers, measure, formula, pool.clock)
-
-    def pooled(check: str, failure: Callable[[int], str | None]) -> Callable[[int], object]:
-        return lambda n: report(check, n, lambda: _holds(pool.results(failure, [n])[0]))
-
-    claims = {
-        "count": lambda n: report(
-            "count_R", n, lambda: (len(members(n)), None), count_R_formula(n)
-        ),
-        "characterization": lambda n: report(
-            "characterization", n, lambda: _characterization(n, members(n))
-        ),
-        "symmetry": pooled("symmetry_relations", _relations_failure),
-        "phi_theta": pooled("phi_theta", _phi_theta_failure),
-        "transport": lambda n: report("r_transport", n, lambda: _transport(members(n + 2))),
-    }
-    if workers == 1:
-        # The same checks, through the entry points that run them alone.
-        claims["symmetry"] = partial(verify_symmetry_relations, workers=1)
-        claims["phi_theta"] = partial(verify_phi_theta, workers=1)
-
-    def claim(suite: str, n: int) -> VerificationReport:
-        try:
-            pool.start()
-            return claims[suite](n)
-        except BaseException:
-            pool.close()
-            raise
-
-    return [partial(claim, suite, n) for suite in SUITES if suite in chosen for n in sizes[suite]]
+    claims = [(suite, n) for suite in SUITES if suite in chosen for n in sizes[suite]]
+    return _Plan(claims, workers, max_n)
 
 
 def verify_count_theorem(
@@ -649,24 +643,20 @@ def verify_characterization(
 
 def verify_symmetry_relations(n: int, *, workers: int = 1) -> VerificationReport:
     """Check the eight tableau-pair identities for every permutation of
-    size n. Called alone, the check runs in this process and workers is
-    only echoed; only a `verify` plan runs it on its pool."""
-    if not 1 <= n <= SYMMETRY_MAX_N:
-        raise ValueError(f"n={n} outside the supported range [1, {SYMMETRY_MAX_N}]")
-    _check_workers(workers)
-    return _report("symmetry_relations", n, workers, lambda: _holds(_relations_failure(n)))
+    size n. The check is one task, so it runs in this process and workers
+    is only echoed; only a larger `verify` plan runs it on a pool."""
+    with _Plan([("symmetry", n)], workers) as plan:
+        return plan[0]()
 
 
 def verify_phi_theta(n: int, *, workers: int = 1) -> VerificationReport:
     """Check that projection undoes every lift of every size-n permutation,
     that the lift images tile the symmetric group two sizes up exactly, and
-    that projection commutes with reverse and complement there. Called
-    alone, the check runs in this process and workers is only echoed; only
-    a `verify` plan runs it on its pool."""
-    if not 1 <= n <= PHI_THETA_MAX_N:
-        raise ValueError(f"n={n} outside the supported range [1, {PHI_THETA_MAX_N}]")
-    _check_workers(workers)
-    return _report("phi_theta", n, workers, lambda: _holds(_phi_theta_failure(n)))
+    that projection commutes with reverse and complement there. The check
+    is one task, so it runs in this process and workers is only echoed;
+    only a larger `verify` plan runs it on a pool."""
+    with _Plan([("phi_theta", n)], workers) as plan:
+        return plan[0]()
 
 
 def verify_R_transport(
@@ -675,8 +665,5 @@ def verify_R_transport(
     """Check that projecting any reverse-stable permutation of size n+2
     lands in the reverse-stable set of size n, and that lifting it back by
     its endpoints reassembles the original."""
-    if n < 1:
-        raise ValueError(f"size must be positive, got {n}")
-    _check_count_range(n + 2, max_n)
-    members = partial(_search_alone, n + 2, workers)
-    return _report("r_transport", n, workers, lambda: _transport(members()))
+    with _Plan([("transport", n)], workers, max_n) as plan:
+        return plan[0]()

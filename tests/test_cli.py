@@ -274,7 +274,8 @@ class TestVerifyCommand:
             workers=1,
         )
 
-        monkeypatch.setattr(enumeration, "verify", lambda *a, **k: [lambda: failing])
+        plan = contextlib.nullcontext([lambda: failing])  # a one-claim stub plan
+        monkeypatch.setattr(enumeration, "verify", lambda *a, **k: plan)
         out_file = tmp_path / "reports.jsonl"
         code, out, _ = run_cli(
             capsys, "verify", "--count", "--n-max", "3", "--out", str(out_file)
@@ -333,10 +334,10 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("as_json", [False, True])
     def test_reports_stream_until_interrupted(self, capsys, tmp_path, monkeypatch, as_json):
-        def interrupt(n, *, workers=1):
+        def interrupt(n):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(enumeration, "verify_phi_theta", interrupt)
+        monkeypatch.setattr(enumeration, "_phi_theta_failure", interrupt)
         out_file = tmp_path / "reports.jsonl"
         try:
             code, out, err = run_cli(
@@ -380,7 +381,7 @@ class TestVerifyCommand:
                     "verify", "--count", *suites, "--n-max", "3", "--workers", "2",
                     "--out", str(out_file), *(["--json"] if as_json else []),
                 )
-            assert (code, err) == (3, "error: a search worker ended abruptly\n")
+            assert (code, err) == (3, "error: a pool worker ended abruptly\n")
             lines = out_file.read_text().splitlines()
             assert [(r["check"], r["n"]) for r in map(json.loads, lines)] == [("count_R", 1)]
             if as_json:
@@ -410,11 +411,30 @@ class TestVerifyCommand:
         assert [r.observed for r in reports][-1] == 1120
         assert len(started) == 2
 
+    def test_lone_entry_points_start_one_pool_or_none(self, monkeypatch):
+        started = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        # ten pair tasks share one pool of two processes
+        assert enumeration.count_R(5, workers=2) == 24
+        assert started == [(2,)]
+        # one whole task: a pool of one process is this process
+        assert enumeration.verify_symmetry_relations(5, workers=2).passed
+        assert started == [(2,)]
+
     def test_pool_workers_ignore_interrupts(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(enumeration, "_reverse_stable", ignores_interrupts)
-        assert enumeration._search_alone(3, 2) == [(True,)] * 3
-        # one worker searches in this process, which keeps its handler
-        assert enumeration._search_alone(3, 1) == [(False,)] * 3
+        for workers, ignored in [(2, True), (1, False)]:
+            # one worker searches in this process, which keeps its handler
+            with enumeration._Plan([("count", 3)], workers) as plan:
+                assert plan.members(3) == [(ignored,)] * 3
 
     def test_tasks_are_queued_with_interrupts_blocked(self, monkeypatch):
         # A KeyboardInterrupt inside the executor's locking could leave a
@@ -430,7 +450,8 @@ class TestVerifyCommand:
                 return super().submit(*args, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        assert len(enumeration._search_alone(5, 2)) == 24
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert enumeration.count_R(5, workers=2) == 24
         assert blocked == [True] * 10  # one task per pair of end letters
         assert not interrupts_blocked()
 
@@ -515,6 +536,67 @@ sys.exit(3)
         assert result.returncode == 3, result.stderr
         # R_2 to R_10 queue 165 tasks; only those already started may run
         assert len(ran.read_text() if ran.exists() else "") < 10
+
+    def test_leaving_a_plan_cancels_the_queued_tasks(self, tmp_path):
+        # A library caller that stops after the first claim and goes on with
+        # other work must not leave the plan's queued tasks running.
+        ran = tmp_path / "ran"
+        script = f"""
+import time
+from rskcheck import enumeration
+
+def slow(task):
+    with open({str(ran)!r}, "a") as log:
+        log.write("x")
+    time.sleep(0.2)
+    return []
+
+enumeration._reverse_stable = slow
+with enumeration.verify(["count"], 10, workers=2) as plan:
+    plan[0]()
+time.sleep(3)
+"""
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        # two workers would run about 30 of the 165 tasks in those 3 s
+        assert len(ran.read_text() if ran.exists() else "") < 10
+
+    @pytest.mark.parametrize(
+        "argv, lines",
+        [
+            (["verify", "--count", "--n-max", "11", "--workers", "2"], 1),
+            # R_8 is empty, so the one line is written only as the command
+            # ends; the reader closes the pipe before it reads anything.
+            (["enumerate", "--set", "R", "--n", "8", "--list"], 0),
+        ],
+        ids=["verify", "enumerate"],
+    )
+    def test_closed_stdout_exits_141_quietly(self, tmp_path, argv, lines):
+        if argv[0] == "verify":
+            argv = [*argv, "--out", str(tmp_path / "r.jsonl")]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rskcheck", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            for _ in range(lines):
+                assert proc.stdout.readline()
+            closed = time.monotonic()
+            proc.stdout.close()
+            proc.wait(timeout=60)
+            # R_10 and R_11 alone keep two workers busy for seconds
+            assert time.monotonic() - closed < 5
+            assert (proc.returncode, proc.stderr.read()) == (cli.PIPE_CLOSED, "")
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            proc.stderr.close()
 
 
 class TestErrorPaths:

@@ -12,7 +12,6 @@ from rskcheck import enumeration
 from rskcheck.enumeration import (
     SUITES,
     VerificationReport,
-    append_reports,
     count_H,
     count_M,
     count_M_formula,
@@ -426,7 +425,7 @@ class TestPoolSize:
         "cpus, workers, expected",
         [
             (2, 64, [2]),  # one pool for the plan, never larger than the CPUs
-            (None, 64, [1]),  # unknown CPU count: one process
+            (None, 64, []),  # unknown CPU count: one process, so none is started
             (8, 3, [3]),  # nor the workers asked for
             (16, 64, [10]),  # nor the tasks queued: ten, for R_2 to R_4
         ],
@@ -513,7 +512,7 @@ class TestPoolSize:
         claims = verify(["count"], 3, workers=2)
         assert claims[0]().passed  # R_1 needs no task
         assert claims[1]().passed  # R_2's one task was queued before the break
-        with pytest.raises(ChildProcessError, match="a search worker ended abruptly"):
+        with pytest.raises(ChildProcessError, match="a pool worker ended abruptly"):
             claims[2]()
         assert serial_pool.events == ["start", "close"]
 
@@ -818,12 +817,3 @@ class TestReportSerialization:
         )
         assert "detail" not in report.as_dict()
         assert "detail" not in report.to_json()
-
-    def test_append_reports(self, tmp_path):
-        path = tmp_path / "out.jsonl"
-        reports = verify_count_theorem(3)
-        append_reports(reports, path)
-        append_reports(reports, path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 6
-        assert all(json.loads(line)["check"] == "count_R" for line in lines)
