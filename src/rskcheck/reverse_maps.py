@@ -15,29 +15,19 @@ fixed by evacuation followed by transposition.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 from .evacuation import evacuation
 from .permutations import MAX_SIZE, Permutation
 from .rsk import rsk, same_recording_tableau
 from .tableaux import StandardYoungTableau
 
 __all__ = [
-    "PhiParameters",
     "is_in_H",
     "is_in_M",
     "is_in_R",
     "phi",
-    "phi_parameters_of",
     "satisfies_first_row_property",
     "theta",
 ]
-
-
-class PhiParameters(namedtuple("PhiParameters", "a b")):
-    """The prepended first letter a and appended last letter b of a lift."""
-
-    __slots__ = ()
 
 
 def phi(w: Permutation, a: int, b: int) -> Permutation:
@@ -93,15 +83,6 @@ def theta(w: Permutation) -> Permutation:
         else:
             out.append(v - 2)
     return Permutation._trusted(tuple(out))
-
-
-def phi_parameters_of(w: Permutation) -> PhiParameters:
-    """The unique lift parameters recovering w: its first and last entries."""
-    if w.n < 3:
-        raise ValueError(f"requires size at least 3, got {w.n}")
-    params = PhiParameters(w.entries[0], w.entries[-1])
-    assert phi(theta(w), params.a, params.b) == w
-    return params
 
 
 def is_in_R(w: Permutation) -> bool:

@@ -1,5 +1,5 @@
 """Schensted row insertion, the bijection from permutations to pairs of
-standard Young tableaux, its inverse, and longest monotone subsequences.
+standard Young tableaux, and its inverse.
 
 Insertion follows the classical bump rule: a value either appends to the
 end of a row or displaces the leftmost strictly larger entry into the row
@@ -21,8 +21,6 @@ __all__ = [
     "InsertionOutcome",
     "TableauPair",
     "inverse_rsk",
-    "longest_decreasing",
-    "longest_increasing",
     "recording_cells",
     "row_insert",
     "rsk",
@@ -51,7 +49,8 @@ class TableauPair(namedtuple("TableauPair", "p q")):
 
 class InsertionOutcome(namedtuple("InsertionOutcome", "rows new_cell bump_path")):
     """Result of inserting one value: the grown grid, the appended cell,
-    and the cells touched on the way down (ending at the appended cell)."""
+    and the cells touched on the way down (ending at the appended cell).
+    Library API that the verifier does not call."""
 
     __slots__ = ()
 
@@ -95,7 +94,7 @@ def row_insert(grid: Iterable[Sequence[int]], x: int) -> InsertionOutcome:
     otherwise it replaces the leftmost larger entry, which is inserted into
     the next row, and so on until a row (possibly a brand-new one) takes an
     append. The bump path lists one cell per row visited, the last being
-    the new cell.
+    the new cell. Library API that the verifier does not call.
     """
     before = validate_grid(grid)
     if not isinstance(x, int) or isinstance(x, bool) or x < 1:
@@ -163,7 +162,8 @@ def recording_cells(values: Sequence[int]) -> list[Cell]:
     """Cells where the recording tableau grows, one per inserted value.
 
     Works on any sequence of distinct positive integers, so suffix words
-    of a permutation can be inserted too.
+    of a permutation can be inserted too. Library API that the verifier
+    does not call.
     """
     rows: list[list[int]] = []
     return [Cell(r + 1, c + 1) for r, c in (_insert(rows, x) for x in values)]
@@ -182,26 +182,3 @@ def same_recording_tableau(u: Iterable[int], v: Iterable[int]) -> bool:
         if _insert(rows_u, xu) != _insert(rows_v, xv):
             return False
     return True
-
-
-def longest_increasing(w: Permutation) -> int:
-    """Length of the longest strictly increasing subsequence.
-
-    Patience piles: each value replaces the leftmost pile top >= it or
-    starts a new pile; the pile count is the answer.
-    """
-    if w.n < 1:
-        raise ValueError("requires a nonempty permutation")
-    tops: list[int] = []
-    for v in w.entries:
-        idx = bisect_left(tops, v)
-        if idx == len(tops):
-            tops.append(v)
-        else:
-            tops[idx] = v
-    return len(tops)
-
-
-def longest_decreasing(w: Permutation) -> int:
-    """Length of the longest strictly decreasing subsequence."""
-    return longest_increasing(w.reverse())

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from rskcheck.evacuation import delta, evacuation, evacuation_trace, jdt_slide
+from rskcheck.evacuation import delta, evacuation, evacuation_trace
 from rskcheck.permutations import Permutation, iterate_sn
 from rskcheck.rsk import recording_cells, rsk
 from rskcheck.tableaux import Cell, StandardYoungTableau, enumerate_syt, partitions
@@ -22,36 +22,6 @@ def cells_in_entry_order(rows):
         for c, v in enumerate(row, start=1):
             located.append((v, Cell(r, c)))
     return [cell for _, cell in sorted(located)]
-
-
-class TestJdtSlide:
-    def test_slide_down_the_column(self):
-        grid, final = jdt_slide([[None, 3, 5], [2], [4]], Cell(1, 1))
-        assert grid == ((2, 3, 5), (4,))
-        assert final == Cell(3, 1)
-
-    def test_slide_along_the_row(self):
-        grid, final = jdt_slide([[None, 3, 5], [4]], Cell(1, 1))
-        assert grid == ((3, 5), (4,))
-        assert final == Cell(1, 3)
-
-    def test_single_cell(self):
-        grid, final = jdt_slide([[None]], Cell(1, 1))
-        assert grid == ()
-        assert final == Cell(1, 1)
-
-    def test_alpha_must_address_the_hole(self):
-        with pytest.raises(ValueError, match="not the unique hole"):
-            jdt_slide([[None, 3, 5], [2], [4]], Cell(2, 1))
-
-    def test_rejects_multiple_holes(self):
-        with pytest.raises(ValueError, match="not the unique hole"):
-            jdt_slide([[None, 3], [None]], Cell(1, 1))
-
-    def test_plain_tuple_addressing(self):
-        grid, final = jdt_slide([[None, 2]], (1, 1))
-        assert grid == ((2,),)
-        assert final == Cell(1, 2)
 
 
 class TestDelta:

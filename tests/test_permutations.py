@@ -154,6 +154,17 @@ class TestIteration:
         seen = set(w.entries for w in iterate_sn(5))
         assert len(seen) == 120
 
+    @pytest.mark.parametrize(
+        "n, message",
+        [(-1, "size must be nonnegative"), (MAX_SIZE + 1, "size 21 exceeds the supported maximum 20")],
+        ids=["negative", "above_max"],
+    )
+    def test_size_out_of_range(self, n, message):
+        # the generator is lazy: the error comes at the first step
+        generator = iterate_sn(n)
+        with pytest.raises(ValueError, match=message):
+            next(generator)
+
 
 class TestUnrank:
     def test_extremes(self):

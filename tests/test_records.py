@@ -1,14 +1,16 @@
 """The record types are immutable named tuples: built by keyword, read by
 attribute, never assigned, equal and hashed by their fields."""
 
+import importlib
 import pickle
+import pkgutil
 
 import pytest
 
+import rskcheck
 from rskcheck.enumeration import VerificationReport
 from rskcheck.evacuation import EvacuationTrace, evacuation_trace
 from rskcheck.permutations import Permutation
-from rskcheck.reverse_maps import PhiParameters
 from rskcheck.rsk import InsertionOutcome, TableauPair, row_insert, rsk
 from rskcheck.tableaux import Cell, StandardYoungTableau
 
@@ -17,7 +19,6 @@ Q = StandardYoungTableau([[1, 2], [3]])
 
 RECORDS = [
     (Cell, {"row": 2, "col": 1}),
-    (PhiParameters, {"a": 3, "b": 1}),
     (TableauPair, {"p": P, "q": Q}),
     (
         InsertionOutcome,
@@ -95,3 +96,14 @@ class TestRecordBehaviour:
 
         assert "SetName" in __all__
         assert SetName is not None
+
+
+def test_every_listed_name_is_exported():
+    # A name left in an __all__ after its definition is removed fails here.
+    namespace = {}
+    exec("from rskcheck import *", namespace)
+    assert set(rskcheck.__all__) <= namespace.keys()
+    for info in pkgutil.iter_modules(rskcheck.__path__):
+        module = importlib.import_module(f"rskcheck.{info.name}")
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert missing == [], info.name

@@ -3,12 +3,10 @@ from hypothesis import given, strategies as st
 
 from rskcheck.permutations import Permutation, iterate_sn
 from rskcheck.reverse_maps import (
-    PhiParameters,
     is_in_H,
     is_in_M,
     is_in_R,
     phi,
-    phi_parameters_of,
     satisfies_first_row_property,
     theta,
 )
@@ -109,28 +107,14 @@ class TestTheta:
     def test_preserves_interior_order_exhaustive_s5(self):
         for w in iterate_sn(5):
             projected = theta(w)
+            # lifting back by the endpoints reassembles w
+            assert phi(projected, w[0], w[-1]) == w
             inner = w.entries[1:-1]
             for i in range(3):
                 for j in range(i + 1, 3):
                     assert (inner[i] < inner[j]) == (
                         projected.entries[i] < projected.entries[j]
                     )
-
-
-class TestPhiParametersOf:
-    def test_examples(self):
-        assert phi_parameters_of(Permutation.parse("1634257")) == PhiParameters(1, 7)
-        assert phi_parameters_of(Permutation.parse("5724163")) == PhiParameters(5, 3)
-        assert phi_parameters_of(Permutation.parse("231")) == PhiParameters(2, 1)
-
-    def test_small_sizes_rejected(self):
-        with pytest.raises(ValueError, match="at least 3"):
-            phi_parameters_of(Permutation([1, 2]))
-
-    def test_reassembles_exhaustive_s5(self):
-        for w in iterate_sn(5):
-            params = phi_parameters_of(w)
-            assert phi(theta(w), params.a, params.b) == w
 
 
 class TestLeftInverse:
