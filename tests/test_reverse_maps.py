@@ -107,14 +107,20 @@ class TestTheta:
     def test_preserves_interior_order_exhaustive_s5(self):
         for w in iterate_sn(5):
             projected = theta(w)
-            # lifting back by the endpoints reassembles w
-            assert phi(projected, w[0], w[-1]) == w
             inner = w.entries[1:-1]
             for i in range(3):
                 for j in range(i + 1, 3):
                     assert (inner[i] < inner[j]) == (
                         projected.entries[i] < projected.entries[j]
                     )
+
+
+class TestPhiParametersOf:
+    # the parameters that lift theta(w) back to w are w's first and last
+    # entries
+    def test_reassembles_exhaustive_s5(self):
+        for w in iterate_sn(5):
+            assert phi(theta(w), w[0], w[-1]) == w
 
 
 class TestLeftInverse:
