@@ -14,12 +14,16 @@ characterization is the set equality R_n = C_n. The R side never looks
 at a shape, and the C side never compares a word with its reverse.
 
 The relations and phi/theta suites are plain loops over S_n in rank
-order, one task for each size, and each computes a value once and looks
-it up after that. The relations suite inserts each word once and
+order, one task for each size. Each names a word by its rank in
+lexicographic order, computes a value once and looks it up by rank after
+that. Complement reverses every comparison of values, so it takes the
+word of rank r to the word of rank n! - 1 - r; the ranks of reverses and
+inverses are tabled once. The relations suite inserts each word once and
 evacuates and transposes each tableau once, and then checks the eight
-relations by lookup. The phi/theta suite projects each lift once; once
-the lifts tile S_{n+2}, the reverse and complement laws are checked there
-by lookup.
+relations as comparisons of rank-indexed pairs of tableau numbers. The
+phi/theta suite projects each lift once and maps it to the rank of the
+word it lifts; once the lifts tile S_{n+2}, which is streamed and never
+held, the reverse and complement laws are checked there by rank.
 
 The R search is split into tasks, one for each pair of end letters
 a < b; each searches the words with w_1 = a and w_n = b and adds the
@@ -258,32 +262,52 @@ def _inverse_images(recording: list[StandardYoungTableau]) -> list[tuple[int, ..
 def _relations_failure(n: int) -> str | None:
     """The first word of S_n, in rank order, for which one of the eight
     tableau-pair identities tying a permutation's reverse, complement, and
-    inverse to transposes and evacuations fails. Each word is inserted once,
-    and each tableau evacuated once and transposed once."""
-    pairs = {word: rsk(Permutation._trusted(word)) for word in permutations(range(1, n + 1))}
-    evacuate = cache(evacuation)
-    transpose = cache(StandardYoungTableau.transpose)
-    for word, pair in pairs.items():
-        w = Permutation._trusted(word)
-        p, q = pair.p, pair.q
-        ep, eq = evacuate(p), evacuate(q)
-        pt, qt = transpose(p), transpose(q)
-        ept, eqt = transpose(ep), transpose(eq)
-        wi = w.inverse()
+    inverse to transposes and evacuations fails.
+
+    A word is named by its rank in lexicographic order. Complement reverses
+    every comparison of values, so it takes rank r to top - r, where
+    top = n! - 1; the ranks of reverses and inverses are tabled once. Each
+    word is inserted once. Each distinct tableau is numbered by its rows,
+    and evacuated once and transposed once, so the pair of each rank is a
+    tuple of two small ints and each relation is one tuple comparison."""
+    words = list(permutations(range(1, n + 1)))
+    rank = {word: r for r, word in enumerate(words)}
+    letters = range(1, n + 1)
+    reverse = [rank[word[::-1]] for word in words]
+    # ((0,) + w).index(v) is the position of v in w, the entry v of w's inverse.
+    inverse = [rank[tuple(map(((0,) + word).index, letters))] for word in words]
+    numbers: dict[tuple[tuple[int, ...], ...], int] = {}
+    tableaux: list[StandardYoungTableau] = []
+
+    def number(t: StandardYoungTableau) -> int:
+        if t.rows not in numbers:
+            numbers[t.rows] = len(tableaux)
+            tableaux.append(t)
+        return numbers[t.rows]
+
+    pairs = [tuple(map(number, rsk(Permutation._trusted(word)))) for word in words]
+    # Each evacuation and transpose may number a new tableau, so each
+    # map runs over the tableaux numbered before it.
+    evacuated = list(map(number, map(evacuation, tableaux[:])))
+    transposed = list(map(number, map(StandardYoungTableau.transpose, tableaux[:])))
+    top = len(words) - 1
+    for r, (p, q) in enumerate(pairs):
+        ep, eq = evacuated[p], evacuated[q]
+        pt, qt, ept, eqt = transposed[p], transposed[q], transposed[ep], transposed[eq]
+        i = inverse[r]
         cases = (
-            ("identity", w, p, q),
-            ("complement", w.complement(), ept, qt),
-            ("reverse", w.reverse(), pt, eqt),
-            ("reverse-complement", w.reverse().complement(), ep, eq),
-            ("inverse", wi, q, p),
-            ("inverse-complement", wi.complement(), eqt, pt),
-            ("inverse-reverse", wi.reverse(), qt, ept),
-            ("inverse-reverse-complement", wi.reverse().complement(), eq, ep),
+            ("identity", r, p, q),
+            ("complement", top - r, ept, qt),
+            ("reverse", reverse[r], pt, eqt),
+            ("reverse-complement", top - reverse[r], ep, eq),
+            ("inverse", i, q, p),
+            ("inverse-complement", top - i, eqt, pt),
+            ("inverse-reverse", reverse[i], qt, ept),
+            ("inverse-reverse-complement", top - reverse[i], eq, ep),
         )
         for name, v, expect_p, expect_q in cases:
-            got = pairs[v.entries]
-            if got.p != expect_p or got.q != expect_q:
-                return f"{name} relation fails for {w}"
+            if pairs[v] != (expect_p, expect_q):
+                return f"{name} relation fails for {Permutation._trusted(words[r])}"
     return None
 
 
@@ -292,31 +316,35 @@ def _phi_theta_failure(n: int) -> str | None:
     lift of every word of S_n is undone by projection, the lift images tile
     S_{n+2}, and projection commutes with reverse and complement there.
 
-    Each lift is projected once. Once the lifts tile S_{n+2}, the table of
-    projections holds theta(v) for every v there, so the last two laws are
-    checked by lookup."""
+    Each lift is projected once, and its entries are mapped to the rank of
+    the word it lifts. S_{n+2} is streamed in rank order, never held: once
+    the lifts tile it, the rank of each word's projection is read from that
+    map. Complement takes rank r to top - r in either group, and the ranks
+    of S_n's reverses are tabled once, so the last two laws compare ranks."""
     m = n + 2
-    project: dict[tuple[int, ...], Permutation] = {}
-    for word in permutations(range(1, n + 1)):
+    words = list(permutations(range(1, n + 1)))
+    ends = [(a, b) for a in range(1, m + 1) for b in range(1, m + 1) if a != b]
+    source: dict[tuple[int, ...], int] = {}
+    for r, word in enumerate(words):
         w = Permutation._trusted(word)
-        for a in range(1, m + 1):
-            for b in range(1, m + 1):
-                if a == b:
-                    continue
-                lifted = phi(w, a, b)
-                if theta(lifted) != w:
-                    return f"projection fails to undo lift ({a},{b}) of {w}"
-                project[lifted.entries] = w
+        for a, b in ends:
+            lifted = phi(w, a, b)
+            if theta(lifted).entries != word:
+                return f"projection fails to undo lift ({a},{b}) of {w}"
+            source[lifted.entries] = r
     # A lift that is no word of S_{n+2} covers nothing.
-    covered = sum(map(project.__contains__, permutations(range(1, m + 1))))
+    projected = list(map(source.get, permutations(range(1, m + 1))))
+    covered = len(projected) - projected.count(None)
     if covered != factorial(m):
         return f"lift images cover {covered} of {factorial(m)} permutations"
-    reverse, complement = cache(Permutation.reverse), cache(Permutation.complement)
-    for word in permutations(range(1, m + 1)):
-        projected = project[word]
-        if project[word[::-1]] != reverse(projected):
+    rank = {word: r for r, word in enumerate(words)}
+    reverse = [rank[word[::-1]] for word in words]
+    top, last = len(projected) - 1, len(words) - 1
+    for v, word in enumerate(permutations(range(1, m + 1))):
+        r = projected[v]
+        if source[word[::-1]] != reverse[r]:
             return f"projection does not commute with reverse on {Permutation._trusted(word)}"
-        if project[tuple(m + 1 - v for v in word)] != complement(projected):
+        if projected[top - v] != last - r:
             return f"projection does not commute with complement on {Permutation._trusted(word)}"
     return None
 

@@ -250,15 +250,29 @@ def brute_force_relations(n):
     return None
 
 
+# With its P and Q swapped, each word's first failure is the relation
+# named here: together they reach all seven relations but the identity.
+BAD_INSERTIONS = {
+    "2 3 1": "reverse",
+    "1 3 4 2": "complement",
+    "4 1 3 2": "inverse-complement",
+    "2 5 1 3 4": "reverse-complement",
+    "1 4 2 3": "inverse",
+    "3 2 4 1": "inverse-reverse",
+    "2 3 1 4": "inverse-reverse-complement",
+}
+
+
 class TestSymmetryAgainstBruteForce:
-    @pytest.mark.parametrize("n", range(1, 7))
+    # up to the size that verify runs the suite at
+    @pytest.mark.parametrize("n", range(1, enumeration.SYMMETRY_MAX_N + 1))
     def test_agrees_on_every_word(self, n):
         report = verify_symmetry_relations(n)
         assert report.passed
         assert report.detail is None
         assert brute_force_relations(n) is None
 
-    @pytest.mark.parametrize("word", ["2 3 1", "1 3 4 2", "4 1 3 2", "2 5 1 3 4"])
+    @pytest.mark.parametrize("word", list(BAD_INSERTIONS))
     def test_same_first_failure_with_one_bad_insertion(self, monkeypatch, word):
         bad = Permutation.parse(word)
         real = enumeration.rsk
@@ -271,6 +285,7 @@ class TestSymmetryAgainstBruteForce:
         report = verify_symmetry_relations(bad.n)
         assert not report.passed
         assert report.detail == brute_force_relations(bad.n)
+        assert report.detail.startswith(f"{BAD_INSERTIONS[word]} relation fails for ")
 
     def test_call_counts(self, monkeypatch):
         counts = {"rsk": 0, "evacuation": 0, "theta": 0, "transpose": 0}
@@ -379,6 +394,14 @@ class TestPhiThetaAgainstBruteForce:
             assert details == [None] * 5
         else:
             assert any(failing in (detail or "") for detail in details)
+
+
+def test_phi_theta_agrees_with_brute_force_at_its_cap():
+    n = enumeration.PHI_THETA_MAX_N
+    report = verify_phi_theta(n)
+    assert report.passed
+    assert report.detail is None
+    assert brute_force_phi_theta(n) is None
 
 
 class SerialPool:

@@ -193,6 +193,14 @@ class TestUnrank:
         images = {unrank(4, r).entries for r in range(factorial(4))}
         assert len(images) == 24
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_complement_reverses_rank(self, n):
+        # Complement reverses every comparison of values, so it reverses
+        # lexicographic order: the n! suites look complements up by rank.
+        top = factorial(n) - 1
+        for r in range(top + 1):
+            assert unrank(n, r).complement() == unrank(n, top - r)
+
 
 class TestNextPermutation:
     def test_advances(self):
