@@ -35,11 +35,16 @@ searches or scans is a plan of one claim. A plan checks every range and
 the worker count before any work starts, and shares one memo of R_n
 between the count, characterization and transport claims, so a run
 builds each R_n once. A plan whose pool would hold one process, for one
-worker, one CPU or one task, runs every task in this process when its
-claim runs. Otherwise its first claim starts one pool and queues on it
-every task of the plan, the whole symmetry and phi/theta claims first;
-the pool closes once every result has been taken, or when the plan is
-closed. A worker that dies ends the run with ChildProcessError.
+worker, one CPU, one task or a platform without fork, runs every task in
+this process when its claim runs. Otherwise its first claim forks the
+pool's workers and queues every task of the plan on them, the whole
+symmetry and phi/theta claims first. A forked worker inherits the plan's
+tasks, so only task numbers go to the workers, through one pipe that
+each reads as it becomes free; each sends back its results, pickled, on
+a pipe of its own. The workers are ended once every result has been
+taken, or when the plan is closed. A task's exception is raised where
+its result is taken, and a worker that dies ends the run with
+ChildProcessError.
 """
 
 from __future__ import annotations
@@ -221,8 +226,8 @@ def _timed(run: Callable, arg: object) -> tuple[object, float]:
 def _start_worker(parent: int) -> None:
     """Set up a pool worker. A terminal sends Ctrl-C to the whole process
     group and only the parent reports it, so the worker ignores it. A parent
-    killed before it closes its pool leaves its workers waiting for tasks
-    forever, so a daemon thread ends the worker once `parent` is gone."""
+    killed before it closes its pool leaves its workers running tasks for
+    nobody, so a daemon thread ends the worker once `parent` is gone."""
     import signal
     import threading
 
@@ -234,6 +239,105 @@ def _start_worker(parent: int) -> None:
         os._exit(1)
 
     threading.Thread(target=watch, daemon=True).start()
+
+
+def _serve(queued: list[tuple[Callable, object]], tasks: int, replies: int) -> None:
+    """Run a pool worker's tasks: each number read from the pipe `tasks`
+    names a task of `queued`, and its reply, the task number with its
+    `_timed` result or what it raised, goes to the pipe `replies`, pickled
+    after its length in 4 bytes. Ends once `tasks` is empty."""
+    import pickle
+
+    # A buffered file finishes a write that a stop signal, Ctrl-Z, cut short.
+    with open(replies, "wb") as out:
+        while len(number := os.read(tasks, 4)) == 4:
+            i = int.from_bytes(number, "little")
+            try:
+                reply = pickle.dumps((i, _timed(*queued[i])))
+            except Exception as exc:
+                reply = pickle.dumps((i, exc))
+            out.write(len(reply).to_bytes(4, "little") + reply)
+            out.flush()
+
+
+class _Workers:
+    """The pool: `size` forked processes that run the tasks of `queued`.
+    A worker inherits `queued`, so it reads only task numbers, in queue
+    order, from one shared pipe, each the next as it becomes free, and
+    replies on a pipe of its own. Its whole body ends in os._exit, so it
+    never unwinds into this process's frames or flushes their buffers."""
+
+    def __init__(self, size: int, queued: list[tuple[Callable, object]]) -> None:
+        # pickle and threading are loaded once here, not in every worker.
+        import pickle
+        import signal
+        import threading
+
+        self.replies: dict[int, object] = {}  # task number -> result or exception
+        self.pipes: dict[int, tuple[int, bytearray]] = {}  # reply pipe -> worker pid, unread
+        parent, (tasks, feed) = os.getpid(), os.pipe()
+        # No worker may take a Ctrl-C before _start_worker ignores it.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            for _ in range(size):
+                reader, writer = os.pipe()
+                if (pid := os.fork()) == 0:
+                    try:
+                        for fd in (feed, reader, *self.pipes):
+                            os.close(fd)
+                        _start_worker(parent)
+                        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                        _serve(queued, tasks, writer)
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+                os.close(writer)
+                self.pipes[reader] = pid, bytearray()
+            # Held open until the numbers are written, so writing cannot fail.
+            with open(feed, "wb") as out:
+                out.write(b"".join(i.to_bytes(4, "little") for i in range(len(queued))))
+            os.close(tasks)
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)  # raises a held-back Ctrl-C
+        except BaseException:
+            self.close()
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            raise
+
+    def take(self, i: int) -> object:
+        """Task i's `_timed` result, once its reply is read; what the task
+        raised is raised here. A worker that ends abruptly closes the pool,
+        and a result not read by then raises ChildProcessError."""
+        import pickle
+        import select
+
+        while i not in self.replies and self.pipes:
+            for reader in select.select(list(self.pipes), [], [])[0]:
+                pid, unread = self.pipes[reader]
+                unread += (chunk := os.read(reader, 1 << 16))
+                while len(unread) >= 4 + (length := int.from_bytes(unread[:4], "little")):
+                    number, self.replies[number] = pickle.loads(unread[4 : 4 + length])
+                    del unread[: 4 + length]
+                if not chunk:
+                    os.close(reader)
+                    if os.waitpid(self.pipes.pop(reader)[0], 0)[1]:
+                        self.close()
+                        break
+        if i not in self.replies:
+            # The worker may have died in any task it ran, so none is named.
+            raise ChildProcessError("a pool worker ended abruptly")
+        if isinstance(value := self.replies.pop(i), Exception):
+            raise value
+        return value
+
+    def close(self) -> None:
+        """Kill and reap the workers left; replies already read stay."""
+        import signal
+
+        for reader, (pid, _) in self.pipes.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(reader)
+        self.pipes.clear()
 
 
 def _reverse_stable_members(n: int, pool: _Plan) -> list[tuple[int, ...]]:
@@ -452,7 +556,7 @@ class _Plan(list):
     runs their tasks and one memo of R_n. It is made from (suite, n) pairs,
     and checks every range and the worker count before any claim runs. Each
     task is a function and its argument; `queued` holds them in the order
-    the pool takes them."""
+    the pool takes them, and a task's number is its place there."""
 
     def __init__(
         self, claims: list[tuple[str, int]], workers: int, max_n: int = DEFAULT_MAX_COUNT_N
@@ -475,9 +579,10 @@ class _Plan(list):
         self.queued = [(failure, n) for _, failure, n in sorted(scans, key=lambda scan: -scan[0])]
         self.queued += [(_reverse_stable, task) for n in sorted(built) for task in _pair_tasks(n)]
         self.workers = workers
-        self.size = min(workers, len(self.queued), os.cpu_count() or 1)
-        self.futures = None  # task -> future, once the pool has started
-        self.executor = None
+        # Without fork, as with an unknown CPU count, every task runs here.
+        cpus = (os.cpu_count() or 1) if hasattr(os, "fork") else 1
+        self.size = min(workers, len(self.queued), cpus)
+        self.pool = self.waiting = None  # waiting: task -> its number in queued
         self.credit = 0.0
         self.members = members = cache(partial(_reverse_stable_members, pool=self))
         report = self._report
@@ -540,80 +645,34 @@ class _Plan(list):
         return time.perf_counter() + self.credit
 
     def start(self) -> None:
-        """Start the pool and queue every task on it, once; for a pool of
-        one process, start nothing."""
-        if self.size <= 1 or self.futures is not None:
+        """Fork the pool's workers and queue every task on them, once; for a
+        pool of one process, start nothing."""
+        if self.size <= 1 or self.waiting is not None:
             return
-        # Imported here so that commands which never run a pool do not pay
-        # for loading it.
-        import signal
-        import threading
-        from concurrent.futures import Future, ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        self.executor = ProcessPoolExecutor(
-            self.size, initializer=_start_worker, initargs=(os.getpid(),)
-        )
-        owner, executor = os.getpid(), self.executor
-
-        def cancel_at_exit() -> None:
-            # A process that exits with the pool open, after an error or a
-            # Ctrl-C between two claims, would otherwise run every queued
-            # task first: the exit hook of concurrent.futures waits for
-            # them. This hook is registered later, so it runs before that
-            # one. The workers inherit it by fork and skip it.
-            if os.getpid() == owner:
-                executor.shutdown(cancel_futures=True)
-
-        threading._register_atexit(cancel_at_exit)
-        self.futures = {}
-        # Ctrl-C waits until every task is queued: raised inside the
-        # executor's locking, it can leave a lock held that close() then
-        # waits on forever. The pool's threads start here and inherit the
-        # mask, so the signal can only reach this thread.
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-        try:
-            for task in self.queued:
-                try:
-                    future = self.executor.submit(_timed, *task)
-                except BrokenProcessPool as exc:
-                    # A worker died already: the task that needs this
-                    # result reports it, so earlier claims still finish.
-                    future = Future()
-                    future.set_exception(exc)
-                self.futures[task] = future
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        self.pool = _Workers(self.size, self.queued)
+        self.waiting = {task: i for i, task in enumerate(self.queued)}
 
     def results(self, run: Callable, args: list) -> list:
         """run(arg) for each of args, in order. On the pool each (run, arg)
         must be a queued task, and its result is taken from it."""
         if self.size <= 1:
             return list(map(run, args))
-        from concurrent.futures.process import BrokenProcessPool
-
         self.start()
-        try:
-            results = [self._take((run, arg)) for arg in args]
-        except BrokenProcessPool:
-            # The worker may have died in any task it ran, not only in the
-            # one this result waits on, so the message names no task.
-            raise ChildProcessError("a pool worker ended abruptly") from None
-        if not self.futures:
+        results = [self._take((run, arg)) for arg in args]
+        if not self.waiting:
             self.close()
         return results
 
     def _take(self, task: tuple[Callable, object]) -> object:
         waited = time.perf_counter()
-        result, seconds = self.futures.pop(task).result()
+        result, seconds = self.pool.take(self.waiting.pop(task))
         self.credit += seconds - (time.perf_counter() - waited)
         return result
 
     def close(self) -> None:
-        """Close the pool, if it runs; the tasks not yet started are cancelled."""
-        if self.executor is not None:
-            self.executor.shutdown(cancel_futures=True)
-            self.executor = None
+        """End the pool's workers, if it runs; tasks not yet started never run."""
+        if self.pool is not None:
+            self.pool.close()
 
     def __enter__(self) -> _Plan:
         return self
@@ -632,16 +691,19 @@ def verify(
     runs. The claims share one memo of R_n, so each R_n is built once.
 
     The plan is a list of its claims. When its pool would hold one process,
-    for one worker, one CPU or one task, each claim runs in this process
-    when it is called. Otherwise the first claim called starts one pool and
-    queues on it every task of the plan: each symmetry and phi/theta claim
-    whole, the largest symmetric group scanned first (phi/theta at n scans
-    S_{n+2}), and then the pair tasks of every R_n the plan builds, by size.
-    The indivisible tasks start first and the many small ones fill the
-    gaps. Each claim then waits only on its own tasks, and the pool closes
-    once every result has been taken, or when a claim fails. A caller that
-    leaves the plan early closes it, by close() or at the end of a `with`
-    block, which cancels the tasks not yet started.
+    for one worker, one CPU, one task or a platform without os.fork, each
+    claim runs in this process when it is called. Otherwise the first claim
+    called forks the pool's workers and queues every task of the plan on
+    them: each symmetry and phi/theta claim whole, the largest symmetric
+    group scanned first (phi/theta at n scans S_{n+2}), and then the pair
+    tasks of every R_n the plan builds, by size. The indivisible tasks
+    start first and the many small ones fill the gaps. Each claim then
+    waits only on its own tasks, and the workers are killed once every
+    result has been taken, or when a claim fails. A caller that leaves the
+    plan early closes it, by close() or at the end of a `with` block, which
+    kills the workers, so the tasks not yet started never run. A process
+    that exits or is killed with its plan open leaves no worker running
+    for more than a quarter second.
 
     A report's elapsed_ms is the time of its claim's own work, plus the run
     time of its own tasks where they ran; it never counts the time a claim

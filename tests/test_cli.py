@@ -1,4 +1,3 @@
-import concurrent.futures
 import contextlib
 import errno
 import io
@@ -29,7 +28,7 @@ real_reverse_stable = enumeration._reverse_stable
 
 def die_in_a_pool_worker(task):
     """The R search, except that a pool worker ends at once, as a crash
-    would. Defined at module level so that the pool can pickle it."""
+    would."""
     if os.getpid() != TEST_PROCESS:
         os._exit(1)
     return real_reverse_stable(task)
@@ -42,10 +41,26 @@ def end_the_pool_worker(n):
     os._exit(1)
 
 
+def fail_in_a_pool_worker(task):
+    """The R search, except that it raises in a pool worker."""
+    if os.getpid() != TEST_PROCESS:
+        raise ValueError("planted")
+    return real_reverse_stable(task)
+
+
+def killed_at_R_4(task):
+    """The R search up to R_3. At n = 4 the worker given the first pair
+    task is killed, and a worker given any other waits a minute."""
+    if task[0] < 4:
+        return real_reverse_stable(task)
+    if task == (4, 1, 2):
+        os.kill(os.getpid(), signal.SIGKILL)
+    time.sleep(60)
+
+
 def ignores_interrupts(task):
     """Stands in for a search task and reports whether the process that
-    runs it ignores Ctrl-C. Defined at module level so that the pool can
-    pickle it."""
+    runs it ignores Ctrl-C."""
     return [(signal.getsignal(signal.SIGINT) is signal.SIG_IGN,)]
 
 
@@ -391,42 +406,27 @@ class TestVerifyCommand:
                     ["PASS", "count_R", "n=1"]
                 ]
 
-    def test_one_pool_per_run(self, capsys, tmp_path, monkeypatch):
-        started = []
-
-        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                started.append(args)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    def test_one_pool_per_run(self, capsys, tmp_path, monkeypatch, serial_pool):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         out_file = tmp_path / "reports.jsonl"
         code, out, _ = run_cli(
             capsys,
             "verify", "--all", "--n-max", "8", "--workers", "2", "--json", "--out", str(out_file),
         )
         assert (code, len(out.splitlines())) == (0, 35)
-        assert len(started) == 1
+        assert serial_pool.sizes == [2]
         reports = [claim() for claim in enumeration.verify(["count"], 9, workers=2)]
         assert [r.observed for r in reports][-1] == 1120
-        assert len(started) == 2
+        assert serial_pool.sizes == [2, 2]
 
-    def test_lone_entry_points_start_one_pool_or_none(self, monkeypatch):
-        started = []
-
-        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                started.append(args)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    def test_lone_entry_points_start_one_pool_or_none(self, monkeypatch, serial_pool):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         # ten pair tasks share one pool of two processes
         assert enumeration.count_R(5, workers=2) == 24
-        assert started == [(2,)]
+        assert serial_pool.sizes == [2]
         # one whole task: a pool of one process is this process
         assert enumeration.verify_symmetry_relations(5, workers=2).passed
-        assert started == [(2,)]
+        assert serial_pool.sizes == [2]
 
     def test_pool_workers_ignore_interrupts(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -437,23 +437,61 @@ class TestVerifyCommand:
                 assert plan.members(3) == [(ignored,)] * 3
 
     def test_tasks_are_queued_with_interrupts_blocked(self, monkeypatch):
-        # A KeyboardInterrupt inside the executor's locking could leave a
-        # lock held, and closing the pool would then hang.
+        # A worker forked with Ctrl-C open could take one before it ignores
+        # it, and end with a traceback.
         def interrupts_blocked():
             return signal.SIGINT in signal.pthread_sigmask(signal.SIG_BLOCK, ())
 
         blocked = []
+        real_fork = os.fork
 
-        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-            def submit(self, *args, **kwargs):
-                blocked.append(interrupts_blocked())
-                return super().submit(*args, **kwargs)
+        def fork():
+            blocked.append(interrupts_blocked())
+            return real_fork()
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "fork", fork)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         assert enumeration.count_R(5, workers=2) == 24
-        assert blocked == [True] * 10  # one task per pair of end letters
+        assert blocked == [True, True]  # one fork per worker
         assert not interrupts_blocked()
+
+    def test_task_error_reaches_the_caller(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(enumeration, "_reverse_stable", fail_in_a_pool_worker)
+        with pytest.raises(ValueError, match="^planted$"):
+            enumeration.count_R(5, workers=2)
+        argv = ["verify", "--count", "--n-max", "3", "--workers", "2"]
+        code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "r.jsonl"))
+        assert (code, err) == (2, "error: planted\n")
+
+    def test_killed_worker_fails_only_the_claims_whose_results_are_missing(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(enumeration, "_reverse_stable", killed_at_R_4)
+        with enumeration.verify(["count"], 4, workers=2) as plan:
+            assert plan[0]().passed  # R_1 needs no task, but starts the pool
+            # by then R_2 and R_3 are searched and one worker killed
+            time.sleep(1)
+            assert plan[1]().passed
+            assert plan[2]().passed
+            with pytest.raises(ChildProcessError, match="a pool worker ended abruptly"):
+                plan[3]()
+
+    def test_pooled_run_loads_no_executor(self):
+        script = (
+            "import os, sys; os.cpu_count = lambda: 2; from rskcheck import enumeration; "
+            "assert enumeration.count_R(5, workers=2) == 24; "
+            "print(*(m in sys.modules for m in ('select', 'concurrent.futures', 'multiprocessing')))"
+        )
+        package_root = Path(rskcheck.__file__).resolve().parent.parent
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(package_root)},
+        )
+        assert result.returncode == 0, result.stderr
+        # select is loaded only to read the workers' replies
+        assert result.stdout.split() == ["True", "False", "False"]
 
     def test_interrupt_ends_a_pooled_run_without_worker_tracebacks(self, tmp_path):
         # A terminal's Ctrl-C goes to the whole process group, pool workers

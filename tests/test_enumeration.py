@@ -1,9 +1,7 @@
-import concurrent.futures
 import functools
 import json
 import os
 import re
-from concurrent.futures.process import BrokenProcessPool
 from math import factorial
 
 import pytest
@@ -404,45 +402,6 @@ def test_phi_theta_agrees_with_brute_force_at_its_cap():
     assert brute_force_phi_theta(n) is None
 
 
-class SerialPool:
-    """Stands in for the process pool: records its size, when it starts and
-    shuts down, and the function name and argument of each task queued on
-    it. It runs each task in this process as it is queued, and keeps what
-    the task raised for the future, so no test here starts a real pool. It
-    does not run the initializer, which would make this process ignore
-    Ctrl-C."""
-
-    sizes: list[int] = []
-    events: list[object] = []
-    queued: list[tuple[str, object]] = []
-
-    def __init__(self, max_workers, initializer=None, initargs=()):
-        self.sizes.append(max_workers)
-        self.events.append("start")
-
-    def submit(self, fn, *args):
-        run, arg = args
-        self.queued.append((run.__name__, arg))
-        future = concurrent.futures.Future()
-        try:
-            future.set_result(fn(*args))
-        except BaseException as exc:
-            future.set_exception(exc)
-        return future
-
-    def shutdown(self, wait=True, *, cancel_futures=False):
-        self.events.append("close")
-
-
-@pytest.fixture
-def serial_pool(monkeypatch):
-    monkeypatch.setattr(SerialPool, "sizes", [])
-    monkeypatch.setattr(SerialPool, "events", [])
-    monkeypatch.setattr(SerialPool, "queued", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    return SerialPool
-
-
 class TestPoolSize:
     @pytest.mark.parametrize(
         "cpus, workers, expected",
@@ -521,23 +480,31 @@ class TestPoolSize:
             claims[0]()
         assert serial_pool.events == ["start", "close"]
 
-    def test_pool_broken_while_queueing_fails_only_the_claims_that_need_it(
-        self, monkeypatch, serial_pool
-    ):
-        real = SerialPool.submit
+    def test_broken_pool_fails_only_the_claims_that_need_it(self, monkeypatch, serial_pool):
+        real = serial_pool.take
 
-        def submit(self, fn, *args):
-            if self.queued:
-                raise BrokenProcessPool("a worker ended")
-            return real(self, fn, *args)
+        def take(self, i):
+            if i:
+                raise ChildProcessError("a pool worker ended abruptly")
+            return real(self, i)
 
-        monkeypatch.setattr(SerialPool, "submit", submit)
+        monkeypatch.setattr(serial_pool, "take", take)
         claims = verify(["count"], 3, workers=2)
         assert claims[0]().passed  # R_1 needs no task
-        assert claims[1]().passed  # R_2's one task was queued before the break
+        assert claims[1]().passed  # R_2's one task was taken before the break
         with pytest.raises(ChildProcessError, match="a pool worker ended abruptly"):
             claims[2]()
         assert serial_pool.events == ["start", "close"]
+
+    def test_no_fork_runs_every_task_in_this_process(self, monkeypatch, serial_pool):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        pooled = [claim() for claim in verify(SUITES, 5, workers=2)]
+        monkeypatch.delattr(os, "fork")
+        alone = [claim() for claim in verify(SUITES, 5, workers=2)]
+        assert serial_pool.sizes == [2]  # the pooled run's, and none without fork
+        assert [r._replace(elapsed_ms=0) for r in alone] == [
+            r._replace(elapsed_ms=0) for r in pooled
+        ]
 
     @pytest.mark.parametrize("workers", [1])
     def test_n_factorial_suites_start_no_pool(self, serial_pool, workers):
@@ -559,6 +526,17 @@ class TestPoolSize:
         reports = [claim() for claim in verify(["count", "symmetry"], 3, workers=2)]
         # R_1 has no task, R_2 one and R_3 three
         assert [r.elapsed_ms // 1000 for r in reports] == [0, 2, 6, 2, 2, 2]
+
+
+def test_more_workers_than_cores_share_the_task_pipe(monkeypatch):
+    # Eight forked workers on this machine's cores read task numbers from
+    # one pipe; a number lost or read twice would change or stall a report.
+    alone = [claim() for claim in verify(SUITES, 6)]
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    pooled = [claim() for claim in verify(SUITES, 6, workers=8)]
+    assert [r._replace(elapsed_ms=0, workers=1) for r in pooled] == [
+        r._replace(elapsed_ms=0) for r in alone
+    ]
 
 
 class TestListSet:
