@@ -181,9 +181,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     which = args.set
     n = args.n
-    note = None
-    if which == "M" and n % 2 == 0:
-        note = "no symmetric hook shape exists for even sizes; the set is empty"
     if args.list:
         members = enumeration.list_set(
             which, n, workers=args.workers, list_max=args.list_max, max_n=args.max_n
@@ -195,28 +192,25 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             rendered = [list(w.entries) for w in members]
             text = "\n".join(str(w) for w in members)
         payload: dict = {"set": which, "n": n, "count": len(members), "members": rendered}
-        if note:
-            payload["note"] = note
-            text = (text + "\n" if text else "") + f"note: {note}"
-        _emit(payload, args.json, text)
-        return 0
-    if which == "R":
-        count = enumeration.count_R(n, workers=args.workers, max_n=args.max_n)
-        formula = enumeration.count_R_formula(n)
-    elif which == "H":
-        count = enumeration.count_H(n, workers=args.workers, max_n=args.max_n)
-        formula = None
     else:
-        count = enumeration.count_M(n, max_n=args.max_n)
-        formula = enumeration.count_M_formula(n)
-    payload = {"set": which, "n": n, "count": count}
-    text = f"|{which}_{n}| = {count}"
-    if formula is not None:
-        payload["formula"] = formula
-        text += f" (formula: {formula})"
-    if note:
+        if which == "R":
+            count = enumeration.count_R(n, workers=args.workers, max_n=args.max_n)
+            formula = enumeration.count_R_formula(n)
+        elif which == "H":
+            count = enumeration.count_H(n, workers=args.workers, max_n=args.max_n)
+            formula = None
+        else:
+            count = enumeration.count_M(n, max_n=args.max_n)
+            formula = enumeration.count_M_formula(n)
+        payload = {"set": which, "n": n, "count": count}
+        text = f"|{which}_{n}| = {count}"
+        if formula is not None:
+            payload["formula"] = formula
+            text += f" (formula: {formula})"
+    if which == "M" and n % 2 == 0:
+        note = "no symmetric hook shape exists for even sizes; the set is empty"
         payload["note"] = note
-        text += f"\nnote: {note}"
+        text = (text + "\n" if text else "") + f"note: {note}"
     _emit(payload, args.json, text)
     return 0
 

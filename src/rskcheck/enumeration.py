@@ -65,11 +65,7 @@ from .rsk import TableauPair, _insert, _uninsert, inverse_rsk, rsk, same_recordi
 from .tableaux import Shape, StandardYoungTableau, enumerate_syt
 
 __all__ = [
-    "DEFAULT_MAX_COUNT_N",
-    "DEFAULT_MAX_LIST_N",
-    "PHI_THETA_MAX_N",
     "SUITES",
-    "SYMMETRY_MAX_N",
     "SetName",
     "VerificationReport",
     "count_H",
@@ -311,7 +307,11 @@ class _Workers:
         import select
 
         while i not in self.replies and self.pipes:
-            for reader in select.select(list(self.pipes), [], [])[0]:
+            # poll, unlike select, takes descriptors past FD_SETSIZE.
+            ready = select.poll()
+            for reader in self.pipes:
+                ready.register(reader, select.POLLIN)
+            for reader, _ in ready.poll():
                 pid, unread = self.pipes[reader]
                 unread += (chunk := os.read(reader, 1 << 16))
                 while len(unread) >= 4 + (length := int.from_bytes(unread[:4], "little")):

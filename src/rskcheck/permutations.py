@@ -8,7 +8,6 @@ from itertools import permutations
 from math import factorial
 
 __all__ = [
-    "MAX_SIZE",
     "Permutation",
     "iterate_sn",
     "next_permutation",

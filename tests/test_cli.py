@@ -3,6 +3,7 @@ import errno
 import io
 import json
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -193,15 +194,23 @@ class TestCheckCommand:
 
 
 class TestEnumerateCommand:
-    def test_count_with_formula(self, capsys):
-        code, out, _ = run_cli(capsys, "enumerate", "--set", "R", "--n", "5", "--json")
+    @pytest.mark.parametrize(
+        "which, payload",
+        [
+            ("R", {"set": "R", "n": 5, "count": 24, "formula": 24}),
+            ("H", {"set": "H", "n": 5, "count": 36}),  # H has no closed form
+        ],
+    )
+    def test_count_with_formula(self, capsys, which, payload):
+        code, out, _ = run_cli(capsys, "enumerate", "--set", which, "--n", "5", "--json")
         assert code == 0
-        assert json.loads(out) == {"set": "R", "n": 5, "count": 24, "formula": 24}
+        assert json.loads(out) == payload
 
-    def test_count_text(self, capsys):
-        code, out, _ = run_cli(capsys, "enumerate", "--set", "R", "--n", "5")
+    @pytest.mark.parametrize("which, text", [("R", "|R_5| = 24 (formula: 24)"), ("H", "|H_5| = 36")])
+    def test_count_text(self, capsys, which, text):
+        code, out, _ = run_cli(capsys, "enumerate", "--set", which, "--n", "5")
         assert code == 0
-        assert out == "|R_5| = 24 (formula: 24)\n"
+        assert out == text + "\n"
 
     def test_list_members(self, capsys):
         code, out, _ = run_cli(
@@ -217,6 +226,14 @@ class TestEnumerateCommand:
         payload = json.loads(out)
         assert payload["count"] == 0
         assert "note" in payload
+
+    def test_even_m_list_is_only_the_note(self, capsys):
+        note = "no symmetric hook shape exists for even sizes; the set is empty"
+        code, out, _ = run_cli(capsys, "enumerate", "--set", "M", "--n", "4", "--list")
+        assert (code, out) == (0, f"note: {note}\n")
+        code, out, _ = run_cli(capsys, "enumerate", "--set", "M", "--n", "4", "--list", "--json")
+        assert code == 0
+        assert json.loads(out) == {"set": "M", "n": 4, "count": 0, "members": [], "note": note}
 
     def test_m_list(self, capsys):
         code, out, _ = run_cli(
@@ -493,6 +510,24 @@ class TestVerifyCommand:
         # select is loaded only to read the workers' replies
         assert result.stdout.split() == ["True", "False", "False"]
 
+    def test_reply_pipes_past_fd_setsize(self):
+        # select() rejects a descriptor at or past FD_SETSIZE (1024), so the
+        # workers' reply pipes are opened above 1,100 descriptors held here.
+        hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]
+        if hard != resource.RLIM_INFINITY and hard < 1200:
+            pytest.skip("the hard descriptor limit is below 1,200")
+        script = (
+            "import os, resource; os.cpu_count = lambda: 2; "
+            "hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]; "
+            "resource.setrlimit(resource.RLIMIT_NOFILE, (1200, hard)); "
+            "held = [os.open(os.devnull, os.O_RDONLY) for _ in range(1100)]; "
+            "from rskcheck import enumeration; print(enumeration.count_R(5, workers=2))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert (result.returncode, result.stdout) == (0, "24\n"), result.stderr
+
     def test_interrupt_ends_a_pooled_run_without_worker_tracebacks(self, tmp_path):
         # A terminal's Ctrl-C goes to the whole process group, pool workers
         # included; only the CLI process may report it.
@@ -742,6 +777,12 @@ class TestErrorPaths:
         )
         self.assert_exit_2(capsys, argv, message)
         assert searched == []
+
+    def test_n_max_below_one_exit_2(self, capsys, tmp_path):
+        out_file = tmp_path / "reports.jsonl"
+        argv = ["verify", "--n-max", "0", "--out", str(out_file)]
+        self.assert_exit_2(capsys, argv, "--n-max must be at least 1, got 0")
+        assert not out_file.exists()
 
     def test_non_ascii_separated_permutation_exit_2(self, capsys):
         message = "invalid integer '３' in permutation text"

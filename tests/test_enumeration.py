@@ -676,9 +676,12 @@ class TestVerifyRTransport:
         assert report.passed
         assert report.detail == f"checked {members} members"
 
-    def test_range(self):
-        with pytest.raises(ValueError, match="outside the configured range"):
-            verify_R_transport(10)
+    @pytest.mark.parametrize(
+        "n, message", [(10, "outside the configured range"), (0, "size must be positive, got 0")]
+    )
+    def test_range(self, n, message):
+        with pytest.raises(ValueError, match=message):
+            verify_R_transport(n)
 
 
 class TestVerifyEngine:

@@ -98,6 +98,16 @@ class TestRecordBehaviour:
         assert SetName is not None
 
 
+def test_package_exports_its_modules_lists():
+    # A package-level copy of a size cap would not reach the code that reads it.
+    layers = ("permutations", "tableaux", "rsk", "evacuation", "reverse_maps", "enumeration")
+    modules = [importlib.import_module(f"rskcheck.{layer}") for layer in layers]
+    assert rskcheck.__all__ == [name for module in modules for name in module.__all__]
+    assert "SetName" in rskcheck.__all__
+    caps = ("MAX_SIZE", "DEFAULT_MAX_COUNT_N", "DEFAULT_MAX_LIST_N", "SYMMETRY_MAX_N", "PHI_THETA_MAX_N")
+    assert [cap for cap in caps if hasattr(rskcheck, cap)] == []
+
+
 def test_every_listed_name_is_exported():
     # A name left in an __all__ after its definition is removed fails here.
     namespace = {}
