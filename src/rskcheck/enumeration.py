@@ -31,20 +31,8 @@ reverse of every member it finds. The tasks and their order do not
 depend on the worker count, so no result does either.
 
 `verify` plans a verification run, and every public entry point that
-searches or scans is a plan of one claim. A plan checks every range and
-the worker count before any work starts, and shares one memo of R_n
-between the count, characterization and transport claims, so a run
-builds each R_n once. A plan whose pool would hold one process, for one
-worker, one CPU, one task or a platform without fork, runs every task in
-this process when its claim runs. Otherwise its first claim forks the
-pool's workers and queues every task of the plan on them, the whole
-symmetry and phi/theta claims first. A forked worker inherits the plan's
-tasks, so only task numbers go to the workers, through one pipe that
-each reads as it becomes free; each sends back its results, pickled, on
-a pipe of its own. The workers are ended once every result has been
-taken, or when the plan is closed. A task's exception is raised where
-its result is taken, and a worker that dies ends the run with
-ChildProcessError.
+searches or scans is a plan of one claim; `verify` describes how a plan
+checks its ranges, shares R_n and runs its tasks on a pool.
 """
 
 from __future__ import annotations
@@ -97,7 +85,15 @@ def _scan_caps() -> dict[str, int]:
     return {"symmetry": SYMMETRY_MAX_N, "phi_theta": PHI_THETA_MAX_N}
 
 
-SUITES = ("count", "characterization", "symmetry", "phi_theta", "transport")
+# Each suite, in run order, with the check name of its reports.
+_CHECKS = {
+    "count": "count_R",
+    "characterization": "characterization",
+    "symmetry": "symmetry_relations",
+    "phi_theta": "phi_theta",
+    "transport": "r_transport",
+}
+SUITES = tuple(_CHECKS)
 
 SetName = str  # the sets list_set accepts: "R", "H" or "M"
 
@@ -525,10 +521,6 @@ def list_set(
 # verification sweeps
 
 
-def _holds(failure: str | None) -> tuple[bool, str | None]:
-    return failure is None, failure
-
-
 def _characterization(n: int, members: list[tuple[int, ...]]) -> tuple[bool, str | None]:
     """Whether R_n, given by its members, is C_n; if not, the least of R_n ^ C_n."""
     recording = [q for q in _hook_tableaux(n) if satisfies_first_row_property(q)]
@@ -573,9 +565,11 @@ class _Plan(list):
         for n in sorted(built):
             _check_count_range(n, max_n)
         _check_workers(workers)
+        # Bound once, so that a claim takes the very task queued for it.
+        self.scans = {"symmetry": _relations_failure, "phi_theta": _phi_theta_failure}
         # Each whole n! claim with the size of the symmetric group it scans.
-        scans = [(n, _relations_failure, n) for suite, n in claims if suite == "symmetry"]
-        scans += [(n + 2, _phi_theta_failure, n) for suite, n in claims if suite == "phi_theta"]
+        scans = [(n, self.scans[suite], n) for suite, n in claims if suite == "symmetry"]
+        scans += [(n + 2, self.scans[suite], n) for suite, n in claims if suite == "phi_theta"]
         self.queued = [(failure, n) for _, failure, n in sorted(scans, key=lambda scan: -scan[0])]
         self.queued += [(_reverse_stable, task) for n in sorted(built) for task in _pair_tasks(n)]
         self.workers = workers
@@ -584,60 +578,35 @@ class _Plan(list):
         self.size = min(workers, len(self.queued), cpus)
         self.pool = self.waiting = None  # waiting: task -> its number in queued
         self.credit = 0.0
-        self.members = members = cache(partial(_reverse_stable_members, pool=self))
-        report = self._report
+        self.members = cache(partial(_reverse_stable_members, pool=self))
+        super().__init__(partial(self._claim, suite, n) for suite, n in claims)
 
-        def pooled(check: str, failure: Callable[[int], str | None]) -> Callable[[int], object]:
-            return lambda n: report(check, n, lambda: _holds(self.results(failure, [n])[0]))
-
-        reports = {
-            "count": lambda n: report(
-                "count_R", n, lambda: (len(members(n)), None), count_R_formula(n)
-            ),
-            "characterization": lambda n: report(
-                "characterization", n, lambda: _characterization(n, members(n))
-            ),
-            "symmetry": pooled("symmetry_relations", _relations_failure),
-            "phi_theta": pooled("phi_theta", _phi_theta_failure),
-            "transport": lambda n: report("r_transport", n, lambda: _transport(members(n + 2))),
-        }
-        super().__init__(partial(self._claim, reports[suite], n) for suite, n in claims)
-
-    def _claim(self, report: Callable[[int], VerificationReport], n: int) -> VerificationReport:
+    def _claim(self, suite: str, n: int) -> VerificationReport:
+        """Check one claim and report it, timed by the plan's clock. A count
+        passes when it equals its closed form, and any other claim when it
+        observes True; an n! scan observes True when it finds no failure."""
         try:
             self.start()
-            return report(n)
+            started = self.clock()
+            formula = detail = None
+            if suite == "count":
+                observed, formula = len(self.members(n)), count_R_formula(n)
+            elif suite == "characterization":
+                observed, detail = _characterization(n, self.members(n))
+            elif suite == "transport":
+                observed, detail = _transport(self.members(n + 2))
+            else:
+                detail = self.results(self.scans[suite], [n])[0]
+                observed = detail is None
+            expected = True if formula is None else formula
+            return VerificationReport(
+                check=_CHECKS[suite], n=n, observed=observed, expected=expected, formula=formula,
+                passed=observed == expected, elapsed_ms=int((self.clock() - started) * 1000),
+                workers=self.workers, detail=detail,
+            )
         except BaseException:
             self.close()
             raise
-
-    def _report(
-        self,
-        check: str,
-        n: int,
-        measure: Callable[[], tuple[int | bool, str | None]],
-        formula: int | None = None,
-    ) -> VerificationReport:
-        """Time one claim by the plan's clock and report it.
-
-        measure returns the observed value and a detail line. A claim with a
-        closed form passes when the observed count equals it; any other claim
-        passes when it observes True.
-        """
-        started = self.clock()
-        observed, detail = measure()
-        expected = True if formula is None else formula
-        return VerificationReport(
-            check=check,
-            n=n,
-            observed=observed,
-            expected=expected,
-            formula=formula,
-            passed=observed == expected,
-            elapsed_ms=int((self.clock() - started) * 1000),
-            workers=self.workers,
-            detail=detail,
-        )
 
     def clock(self) -> float:
         """Seconds that advance with this process's work and with the run
@@ -688,7 +657,8 @@ def verify(
     report, in SUITES order and then by size, which checks and reports
     when called. Symmetry and phi/theta stop at their caps, and transport
     sources at n_max - 2. Every range is checked here, before any claim
-    runs. The claims share one memo of R_n, so each R_n is built once.
+    runs, and n_max must be at least 1. The claims share one memo of R_n,
+    so each R_n is built once.
 
     The plan is a list of its claims. When its pool would hold one process,
     for one worker, one CPU, one task or a platform without os.fork, each
@@ -715,6 +685,8 @@ def verify(
     if chosen & {"count", "characterization"}:
         # Checked first, so that a run past max_n names its top size.
         _check_count_range(n_max, max_n)
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     caps = {**_scan_caps(), "transport": n_max - 2}
     sizes = {suite: range(1, min(n_max, caps.get(suite, n_max)) + 1) for suite in SUITES}
     claims = [(suite, n) for suite in SUITES if suite in chosen for n in sizes[suite]]

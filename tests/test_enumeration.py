@@ -740,6 +740,12 @@ class TestVerifyEngine:
         with pytest.raises(ValueError, match=message):
             verify(suites, 9, max_n=5)
 
+    @pytest.mark.parametrize("suites", [["symmetry"], ["phi_theta"], ["transport"]])
+    def test_empty_run_rejected(self, suites):
+        # A run with no claim would pass vacuously.
+        with pytest.raises(ValueError, match="n_max must be at least 1, got 0"):
+            verify(suites, 0)
+
 
 class TestDeterminismAcrossWorkers:
     def test_count_reports(self):
