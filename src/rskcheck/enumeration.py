@@ -32,7 +32,9 @@ depend on the worker count, so no result does either.
 
 `verify` plans a verification run, and every public entry point that
 searches or scans is a plan of one claim; `verify` describes how a plan
-checks its ranges, shares R_n and runs its tasks on a pool.
+checks its ranges, shares R_n and runs its tasks. A plan derives each
+claim's tasks once, in its task table, and runs that table's tasks in
+this process or on its pool, so the two paths run the same tasks.
 """
 
 from __future__ import annotations
@@ -204,11 +206,6 @@ def _reverse_stable(task: tuple[int, int, int]) -> list[tuple[int, ...]]:
     return found
 
 
-def _pair_tasks(n: int) -> list[tuple[int, int, int]]:
-    """The search tasks of R_n: one for each pair of end letters a < b."""
-    return [(n, a, b) for a in range(1, n) for b in range(a + 1, n + 1)]
-
-
 def _timed(run: Callable, arg: object) -> tuple[object, float]:
     """run(arg), and the seconds it took where it ran."""
     started = time.perf_counter()
@@ -268,11 +265,13 @@ class _Workers:
         self.replies: dict[int, object] = {}  # task number -> result or exception
         self.pipes: dict[int, tuple[int, bytearray]] = {}  # reply pipe -> worker pid, unread
         parent, (tasks, feed) = os.getpid(), os.pipe()
+        loose = [tasks, feed]  # this process's pipe ends that a failed start closes
         # No worker may take a Ctrl-C before _start_worker ignores it.
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
             for _ in range(size):
                 reader, writer = os.pipe()
+                loose += reader, writer
                 if (pid := os.fork()) == 0:
                     try:
                         for fd in (feed, reader, *self.pipes):
@@ -283,14 +282,17 @@ class _Workers:
                         os._exit(0)
                     finally:
                         os._exit(1)
-                os.close(writer)
+                del loose[2:]
                 self.pipes[reader] = pid, bytearray()
-            # Held open until the numbers are written, so writing cannot fail.
-            with open(feed, "wb") as out:
+                os.close(writer)
+            # tasks is held open until the numbers are written, so writing cannot fail.
+            with open(loose.pop(), "wb") as out:  # feed
                 out.write(b"".join(i.to_bytes(4, "little") for i in range(len(queued))))
-            os.close(tasks)
+            os.close(loose.pop())  # tasks
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)  # raises a held-back Ctrl-C
         except BaseException:
+            for fd in loose:
+                os.close(fd)
             self.close()
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             raise
@@ -341,7 +343,7 @@ def _reverse_stable_members(n: int, pool: _Plan) -> list[tuple[int, ...]]:
     one word of S_1 is its own reverse."""
     if n == 1:
         return [(1,)]
-    found = pool.results(_reverse_stable, _pair_tasks(n))
+    found = pool.results(n)
     return sorted(member for members in found for member in members)
 
 
@@ -548,7 +550,11 @@ class _Plan(list):
     runs their tasks and one memo of R_n. It is made from (suite, n) pairs,
     and checks every range and the worker count before any claim runs. Each
     task is a function and its argument; `queued` holds them in the order
-    the pool takes them, and a task's number is its place there."""
+    the pool takes them, and a task's number is its place there. The task
+    table, `tasks`, is the one place a claim's tasks are derived: it gives
+    each n! claim, keyed by its (suite, n), and each R_n, keyed by n, its
+    range of task numbers, which `results` runs in this process or takes
+    from the pool."""
 
     def __init__(
         self, claims: list[tuple[str, int]], workers: int, max_n: int = DEFAULT_MAX_COUNT_N
@@ -565,19 +571,21 @@ class _Plan(list):
         for n in sorted(built):
             _check_count_range(n, max_n)
         _check_workers(workers)
-        # Bound once, so that a claim takes the very task queued for it.
-        self.scans = {"symmetry": _relations_failure, "phi_theta": _phi_theta_failure}
-        # Each whole n! claim with the size of the symmetric group it scans.
-        scans = [(n, self.scans[suite], n) for suite, n in claims if suite == "symmetry"]
-        scans += [(n + 2, self.scans[suite], n) for suite, n in claims if suite == "phi_theta"]
-        self.queued = [(failure, n) for _, failure, n in sorted(scans, key=lambda scan: -scan[0])]
-        self.queued += [(_reverse_stable, task) for n in sorted(built) for task in _pair_tasks(n)]
+        # Each n! claim whole, the largest symmetric group scanned first
+        # (phi/theta at n scans S_{n+2}), and then the pair tasks of each R_n.
+        scans = {"symmetry": (_relations_failure, 0), "phi_theta": (_phi_theta_failure, 2)}
+        whole = sorted((c for c in claims if c[0] in scans), key=lambda c: -c[1] - scans[c[0]][1])
+        self.queued = [(scans[suite][0], n) for suite, n in whole]
+        self.tasks = {claim: range(i, i + 1) for i, claim in enumerate(whole)}
+        for n in sorted(built):
+            pairs = [(_reverse_stable, (n, a, b)) for a in range(1, n) for b in range(a + 1, n + 1)]
+            self.tasks[n] = range(len(self.queued), len(self.queued) + len(pairs))
+            self.queued += pairs
         self.workers = workers
         # Without fork, as with an unknown CPU count, every task runs here.
         cpus = (os.cpu_count() or 1) if hasattr(os, "fork") else 1
         self.size = min(workers, len(self.queued), cpus)
-        self.pool = self.waiting = None  # waiting: task -> its number in queued
-        self.credit = 0.0
+        self.pool, self.taken, self.credit = None, 0, 0.0
         self.members = cache(partial(_reverse_stable_members, pool=self))
         super().__init__(partial(self._claim, suite, n) for suite, n in claims)
 
@@ -596,7 +604,7 @@ class _Plan(list):
             elif suite == "transport":
                 observed, detail = _transport(self.members(n + 2))
             else:
-                detail = self.results(self.scans[suite], [n])[0]
+                detail = self.results((suite, n))[0]
                 observed = detail is None
             expected = True if formula is None else formula
             return VerificationReport(
@@ -616,25 +624,27 @@ class _Plan(list):
     def start(self) -> None:
         """Fork the pool's workers and queue every task on them, once; for a
         pool of one process, start nothing."""
-        if self.size <= 1 or self.waiting is not None:
-            return
-        self.pool = _Workers(self.size, self.queued)
-        self.waiting = {task: i for i, task in enumerate(self.queued)}
+        if self.size > 1 and self.pool is None:
+            self.pool = _Workers(self.size, self.queued)
 
-    def results(self, run: Callable, args: list) -> list:
-        """run(arg) for each of args, in order. On the pool each (run, arg)
-        must be a queued task, and its result is taken from it."""
+    def results(self, key: tuple[str, int] | int) -> list:
+        """The results of the tasks the table gives `key`, a claim's
+        (suite, n) or the n of an R_n, in queue order. A plan whose pool
+        would hold one process runs them here, as often as it is asked;
+        otherwise each is taken from the pool, which closes once every task
+        queued on it has been taken."""
         if self.size <= 1:
-            return list(map(run, args))
+            return [run(arg) for run, arg in map(self.queued.__getitem__, self.tasks[key])]
         self.start()
-        results = [self._take((run, arg)) for arg in args]
-        if not self.waiting:
+        results = list(map(self._take, self.tasks[key]))
+        if self.taken == len(self.queued):
             self.close()
         return results
 
-    def _take(self, task: tuple[Callable, object]) -> object:
+    def _take(self, i: int) -> object:
         waited = time.perf_counter()
-        result, seconds = self.pool.take(self.waiting.pop(task))
+        result, seconds = self.pool.take(i)
+        self.taken += 1
         self.credit += seconds - (time.perf_counter() - waited)
         return result
 
@@ -657,19 +667,21 @@ def verify(
     report, in SUITES order and then by size, which checks and reports
     when called. Symmetry and phi/theta stop at their caps, and transport
     sources at n_max - 2. Every range is checked here, before any claim
-    runs, and n_max must be at least 1. The claims share one memo of R_n,
-    so each R_n is built once.
+    runs; n_max must be at least 1 and leave at least one claim to check.
+    The claims share one memo of R_n, so each R_n is built once.
 
-    The plan is a list of its claims. When its pool would hold one process,
-    for one worker, one CPU, one task or a platform without os.fork, each
-    claim runs in this process when it is called. Otherwise the first claim
-    called forks the pool's workers and queues every task of the plan on
-    them: each symmetry and phi/theta claim whole, the largest symmetric
-    group scanned first (phi/theta at n scans S_{n+2}), and then the pair
-    tasks of every R_n the plan builds, by size. The indivisible tasks
+    The plan is a list of its claims. It numbers every task of the run
+    once, in one queue: each symmetry and phi/theta claim whole, the
+    largest symmetric group scanned first (phi/theta at n scans S_{n+2}),
+    and then the pair tasks of every R_n the plan builds, by size. Its task
+    table gives each claim and each R_n its own numbers there. When its
+    pool would hold one process, for one worker, one CPU, one task or a
+    platform without os.fork, each claim runs its numbered tasks in this
+    process when it is called. Otherwise the first claim called forks the
+    pool's workers and queues every task on them, so the indivisible tasks
     start first and the many small ones fill the gaps. Each claim then
-    waits only on its own tasks, and the workers are killed once every
-    result has been taken, or when a claim fails. A caller that leaves the
+    takes only its own numbers, and the workers are killed once every
+    task has been taken, or when a claim fails. A caller that leaves the
     plan early closes it, by close() or at the end of a `with` block, which
     kills the workers, so the tasks not yet started never run. A process
     that exits or is killed with its plan open leaves no worker running
@@ -690,7 +702,10 @@ def verify(
     caps = {**_scan_caps(), "transport": n_max - 2}
     sizes = {suite: range(1, min(n_max, caps.get(suite, n_max)) + 1) for suite in SUITES}
     claims = [(suite, n) for suite in SUITES if suite in chosen for n in sizes[suite]]
-    return _Plan(claims, workers, max_n)
+    plan = _Plan(claims, workers, max_n)
+    if not plan:
+        raise ValueError(f"n_max={n_max} leaves no claim to check")
+    return plan
 
 
 def verify_count_theorem(

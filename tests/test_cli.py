@@ -472,6 +472,32 @@ class TestVerifyCommand:
         assert blocked == [True, True]  # one fork per worker
         assert not interrupts_blocked()
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors")
+    def test_failed_fork_leaves_no_worker_or_pipe(self, monkeypatch):
+        # The second fork fails, as under a process limit: the first worker
+        # is reaped, every pipe end is closed and Ctrl-C is open again.
+        forked = []
+        real_fork = os.fork
+
+        def fork():
+            if forked:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            pid = real_fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        before = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(OSError) as raised:
+            enumeration.count_R(5, workers=2)
+        assert raised.value.errno == errno.EAGAIN
+        assert len(os.listdir("/proc/self/fd")) == before
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forked[0], os.WNOHANG)
+        assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, ())
+
     def test_task_error_reaches_the_caller(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(enumeration, "_reverse_stable", fail_in_a_pool_worker)
@@ -782,6 +808,13 @@ class TestErrorPaths:
         out_file = tmp_path / "reports.jsonl"
         argv = ["verify", "--n-max", "0", "--out", str(out_file)]
         self.assert_exit_2(capsys, argv, "--n-max must be at least 1, got 0")
+        assert not out_file.exists()
+
+    def test_transport_without_sources_exit_2(self, capsys, tmp_path):
+        # Transport sources run to n_max - 2, so none is left at n_max = 2.
+        out_file = tmp_path / "reports.jsonl"
+        argv = ["verify", "--transport", "--n-max", "2", "--out", str(out_file)]
+        self.assert_exit_2(capsys, argv, "n_max=2 leaves no claim to check")
         assert not out_file.exists()
 
     def test_non_ascii_separated_permutation_exit_2(self, capsys):

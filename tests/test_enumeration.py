@@ -520,6 +520,26 @@ class TestPoolSize:
         assert serial_pool.sizes == [8]
         assert serial_pool.events == ["start", "close"]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_claims_run_the_tasks_their_plan_queued(self, monkeypatch, serial_pool, workers):
+        # Each claim's tasks are derived once, when the plan is made: a
+        # search patched in after that is never run, in this process or on
+        # the pool.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        claims = verify(["count"], 5, workers=workers)
+
+        def rederived(task):
+            raise AssertionError(f"task {task} derived after planning")
+
+        monkeypatch.setattr(enumeration, "_reverse_stable", rederived)
+        assert all(claim().passed for claim in claims)
+        assert serial_pool.sizes == ([2] if workers == 2 else [])
+
+    def test_one_process_claim_can_run_again(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "_relations_failure", lambda n: f"planted {n}")
+        claim = verify(["symmetry"], 3)[2]
+        assert [claim().detail for _ in range(2)] == ["planted 3"] * 2
+
     def test_elapsed_counts_run_time_not_waiting(self, monkeypatch, serial_pool):
         # Each task reports a run time of 2 s where it ran.
         monkeypatch.setattr(enumeration, "_timed", lambda run, arg: (run(arg), 2.0))
@@ -745,6 +765,12 @@ class TestVerifyEngine:
         # A run with no claim would pass vacuously.
         with pytest.raises(ValueError, match="n_max must be at least 1, got 0"):
             verify(suites, 0)
+
+    @pytest.mark.parametrize("suites, n_max", [(["transport"], 1), (["transport"], 2), ([], 5)])
+    def test_plan_without_claims_rejected(self, suites, n_max):
+        # Transport sources run to n_max - 2, so these plans would pass vacuously.
+        with pytest.raises(ValueError, match=f"^n_max={n_max} leaves no claim to check$"):
+            verify(suites, n_max)
 
 
 class TestDeterminismAcrossWorkers:

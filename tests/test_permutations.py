@@ -212,3 +212,14 @@ class TestNextPermutation:
         values = [3, 2, 1]
         assert not next_permutation(values)
         assert values == [3, 2, 1]
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_steps_through_every_permutation_in_order(self, n):
+        # Most steps swap w_i with a letter before the last one, which the
+        # two cases above never do.
+        values = list(range(1, n + 1))
+        for expected in itertools.permutations(range(1, n + 1)):
+            assert tuple(values) == expected
+            stepped = next_permutation(values)
+        assert not stepped
+        assert values == list(range(n, 0, -1))
