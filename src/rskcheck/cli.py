@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Sequence
 
 from . import enumeration
 from .evacuation import delta, evacuation_trace
@@ -75,10 +74,6 @@ def _parse_tableau(source: str) -> StandardYoungTableau:
     return StandardYoungTableau(_read_tableau_source(source))
 
 
-def _rows_as_lists(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    return [list(row) for row in rows]
-
-
 def _side_by_side(left_title: str, left: str, right_title: str, right: str) -> str:
     left_lines = [left_title] + left.splitlines()
     right_lines = [right_title] + right.splitlines()
@@ -94,10 +89,7 @@ def _side_by_side(left_title: str, left: str, right_title: str, right: str) -> s
 def _cmd_rsk(args: argparse.Namespace) -> int:
     w = _parse_permutation(args.perm)
     pair = rsk(w)
-    payload = {
-        "P": _rows_as_lists(pair.p.rows),
-        "Q": _rows_as_lists(pair.q.rows),
-    }
+    payload = {"P": pair.p.rows, "Q": pair.q.rows}
     _emit(payload, args.json, _side_by_side("P:", pair.p.ascii(), "Q:", pair.q.ascii()))
     return 0
 
@@ -106,8 +98,8 @@ def _cmd_evac(args: argparse.Namespace) -> int:
     t = _parse_tableau(args.tableau)
     trace = evacuation_trace(t)
     payload = {
-        "result": _rows_as_lists(trace.evacuation.rows),
-        "vacated_cells": [[cell.row, cell.col] for cell in trace.vacated_cells],
+        "result": trace.evacuation.rows,
+        "vacated_cells": trace.vacated_cells,
     }
     text = trace.evacuation.ascii() + "\nvacated: " + " ".join(
         f"({cell.row},{cell.col})" for cell in trace.vacated_cells
@@ -118,10 +110,7 @@ def _cmd_evac(args: argparse.Namespace) -> int:
 
 def _cmd_delta(args: argparse.Namespace) -> int:
     result, vacated = delta(_read_tableau_source(args.tableau))
-    payload = {
-        "result": _rows_as_lists(result),
-        "vacated_cell": [vacated.row, vacated.col],
-    }
+    payload = {"result": result, "vacated_cell": vacated}
     text = "\n".join(" ".join(map(str, row)) for row in result)
     text += f"\nvacated: ({vacated.row},{vacated.col})"
     _emit(payload, args.json, text)
@@ -131,14 +120,14 @@ def _cmd_delta(args: argparse.Namespace) -> int:
 def _cmd_phi(args: argparse.Namespace) -> int:
     w = _parse_permutation(args.perm)
     result = phi(w, args.a, args.b)
-    _emit({"result": list(result.entries)}, args.json, str(result))
+    _emit({"result": result.entries}, args.json, str(result))
     return 0
 
 
 def _cmd_theta(args: argparse.Namespace) -> int:
     w = _parse_permutation(args.perm)
     result = theta(w)
-    _emit({"result": list(result.entries)}, args.json, str(result))
+    _emit({"result": result.entries}, args.json, str(result))
     return 0
 
 
@@ -152,11 +141,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
     characterized = in_h and first_row
     agrees = in_r == characterized
     payload = {
-        "permutation": list(w.entries),
+        "permutation": w.entries,
         "in_R": in_r,
         "in_H": in_h,
-        "Q": _rows_as_lists(q.rows),
-        "Q_of_reverse": _rows_as_lists(q_reverse.rows),
+        "Q": q.rows,
+        "Q_of_reverse": q_reverse.rows,
         "symmetric_hook": in_h,
         "first_row_property": first_row,
         "characterization": characterized,
@@ -186,10 +175,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             which, n, workers=args.workers, list_max=args.list_max, max_n=args.max_n
         )
         if which == "M":
-            rendered = [_rows_as_lists(t.rows) for t in members]
+            rendered = [t.rows for t in members]
             text = "\n\n".join(t.ascii() for t in members)
         else:
-            rendered = [list(w.entries) for w in members]
+            rendered = [w.entries for w in members]
             text = "\n".join(str(w) for w in members)
         payload: dict = {"set": which, "n": n, "count": len(members), "members": rendered}
     else:

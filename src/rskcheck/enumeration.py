@@ -34,7 +34,8 @@ depend on the worker count, so no result does either.
 searches or scans is a plan of one claim; `verify` describes how a plan
 checks its ranges, shares R_n and runs its tasks. A plan derives each
 claim's tasks once, in its task table, and runs that table's tasks in
-this process or on its pool, so the two paths run the same tasks.
+this process or on its pool, so the two paths run the same tasks, and
+each of them once per plan.
 """
 
 from __future__ import annotations
@@ -469,10 +470,12 @@ def count_R(n: int, *, workers: int = 1, max_n: int = DEFAULT_MAX_COUNT_N) -> in
 
 def count_H(n: int, *, workers: int = 1, max_n: int = DEFAULT_MAX_COUNT_N) -> int:
     """Count the permutations whose recording tableau has symmetric hook
-    shape, listed as the inverse RSK images of the hook's tableau pairs."""
+    shape. By the RSK bijection each is the inverse RSK image of one pair
+    of the hook's tableaux, so the count is the square of their number;
+    none is built."""
     _check_count_range(n, max_n)
     _check_workers(workers)
-    return len(_inverse_images(_hook_tableaux(n)))
+    return len(_hook_tableaux(n)) ** 2
 
 
 def count_M(n: int, *, max_n: int = DEFAULT_MAX_COUNT_N) -> int:
@@ -554,7 +557,8 @@ class _Plan(list):
     table, `tasks`, is the one place a claim's tasks are derived: it gives
     each n! claim, keyed by its (suite, n), and each R_n, keyed by n, its
     range of task numbers, which `results` runs in this process or takes
-    from the pool."""
+    from the pool. The plan's one store, `done`, keeps each task's result
+    by its number, so each task runs once per plan on either path."""
 
     def __init__(
         self, claims: list[tuple[str, int]], workers: int, max_n: int = DEFAULT_MAX_COUNT_N
@@ -585,7 +589,7 @@ class _Plan(list):
         # Without fork, as with an unknown CPU count, every task runs here.
         cpus = (os.cpu_count() or 1) if hasattr(os, "fork") else 1
         self.size = min(workers, len(self.queued), cpus)
-        self.pool, self.taken, self.credit = None, 0, 0.0
+        self.pool, self.credit, self.done = None, 0.0, {}
         self.members = cache(partial(_reverse_stable_members, pool=self))
         super().__init__(partial(self._claim, suite, n) for suite, n in claims)
 
@@ -629,24 +633,22 @@ class _Plan(list):
 
     def results(self, key: tuple[str, int] | int) -> list:
         """The results of the tasks the table gives `key`, a claim's
-        (suite, n) or the n of an R_n, in queue order. A plan whose pool
-        would hold one process runs them here, as often as it is asked;
-        otherwise each is taken from the pool, which closes once every task
-        queued on it has been taken."""
-        if self.size <= 1:
-            return [run(arg) for run, arg in map(self.queued.__getitem__, self.tasks[key])]
+        (suite, n) or the n of an R_n, in queue order, from the plan's
+        store. A task the store lacks is run here, when the pool would hold
+        one process, or else taken from the pool, which closes once the
+        store holds every queued task; so each task runs once per plan."""
         self.start()
-        results = list(map(self._take, self.tasks[key]))
-        if self.taken == len(self.queued):
+        for i in [i for i in self.tasks[key] if i not in self.done]:
+            if self.size <= 1:
+                run, arg = self.queued[i]
+                self.done[i] = run(arg)
+            else:
+                waited = time.perf_counter()
+                self.done[i], seconds = self.pool.take(i)
+                self.credit += seconds - (time.perf_counter() - waited)
+        if len(self.done) == len(self.queued):
             self.close()
-        return results
-
-    def _take(self, i: int) -> object:
-        waited = time.perf_counter()
-        result, seconds = self.pool.take(i)
-        self.taken += 1
-        self.credit += seconds - (time.perf_counter() - waited)
-        return result
+        return [self.done[i] for i in self.tasks[key]]
 
     def close(self) -> None:
         """End the pool's workers, if it runs; tasks not yet started never run."""
@@ -680,12 +682,15 @@ def verify(
     process when it is called. Otherwise the first claim called forks the
     pool's workers and queues every task on them, so the indivisible tasks
     start first and the many small ones fill the gaps. Each claim then
-    takes only its own numbers, and the workers are killed once every
-    task has been taken, or when a claim fails. A caller that leaves the
-    plan early closes it, by close() or at the end of a `with` block, which
-    kills the workers, so the tasks not yet started never run. A process
-    that exits or is killed with its plan open leaves no worker running
-    for more than a quarter second.
+    takes only its own numbers, and the workers are killed once the
+    plan's store holds every task's result, or when a claim fails. On
+    either path each result is kept in that store, so each task runs once
+    per plan: a claim called again reports from the store, and its report
+    is the same, elapsed_ms aside. A caller that leaves the plan early
+    closes it, by close() or at the end of a `with` block, which kills the
+    workers, so the tasks not yet started never run. A process that exits
+    or is killed with its plan open leaves no worker running for more than
+    a quarter second.
 
     A report's elapsed_ms is the time of its claim's own work, plus the run
     time of its own tasks where they ran; it never counts the time a claim

@@ -119,7 +119,7 @@ def validate_grid(rows: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
             raise ValueError(
                 f"row lengths must weakly decrease: row {r} is longer than row {r - 1}"
             )
-    seen: dict[int, Cell] = {}
+    seen: set[int] = set()
     for r, row in enumerate(grid, start=1):
         for c, v in enumerate(row, start=1):
             if not isinstance(v, int) or isinstance(v, bool):
@@ -128,7 +128,7 @@ def validate_grid(rows: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
                 raise ValueError(f"entry {v} at cell ({r},{c}) is not positive")
             if v in seen:
                 raise ValueError(f"duplicate entry {v} at cell ({r},{c})")
-            seen[v] = Cell(r, c)
+            seen.add(v)
             if c >= 2 and row[c - 2] >= v:
                 raise ValueError(f"row order violated at ({r},{c})")
             if r >= 2 and grid[r - 2][c - 1] >= v:

@@ -97,8 +97,10 @@ class TestCounts:
         assert count_H(n) == sum(1 for w in iterate_sn(n) if is_in_H(w))
 
     def test_count_H_5_is_square_of_tableau_count(self):
-        # 36 = 6^2: one factor per insertion tableau, one per recording
-        assert count_H(5) == count_syt(symmetric_hook_shape(5)) ** 2
+        # 36 = 6^2: one factor per insertion tableau, one per recording;
+        # likewise at the smallest size and at the default top size
+        for n in (1, 5, 9, 11):
+            assert count_H(n) == count_syt(symmetric_hook_shape(n)) ** 2
 
     def test_count_M_examples(self):
         assert count_M(1) == 1
@@ -539,6 +541,37 @@ class TestPoolSize:
         monkeypatch.setattr(enumeration, "_relations_failure", lambda n: f"planted {n}")
         claim = verify(["symmetry"], 3)[2]
         assert [claim().detail for _ in range(2)] == ["planted 3"] * 2
+
+    def test_pooled_claim_can_run_again(self, monkeypatch):
+        # On a real fork pool, a claim called again reports from the
+        # plan's store: no reply is taken twice.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        with verify(["symmetry"], 3, workers=2) as plan:
+            assert plan.size == 2
+            first, again = plan[0](), plan[0]()
+        assert again._replace(elapsed_ms=0) == first._replace(elapsed_ms=0)
+
+    def test_claims_called_again_take_nothing_more(self, monkeypatch, serial_pool):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        taken = []
+        real = serial_pool.take
+        monkeypatch.setattr(serial_pool, "take", lambda self, i: taken.append(i) or real(self, i))
+        claims = verify(["symmetry"], 3, workers=2)
+        first = [claim() for claim in claims]
+        again = [claim() for claim in claims]
+        # the largest group is queued first, so S_1's scan is task 2
+        assert taken == [2, 1, 0]
+        assert serial_pool.events == ["start", "close"]
+        assert [r._replace(elapsed_ms=0) for r in again] == [
+            r._replace(elapsed_ms=0) for r in first
+        ]
+
+    def test_one_process_claim_runs_its_scan_once(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(enumeration, "_relations_failure", runs.append)
+        claim = verify(["symmetry"], 3)[2]
+        assert [claim().passed for _ in range(2)] == [True, True]
+        assert runs == [3]
 
     def test_elapsed_counts_run_time_not_waiting(self, monkeypatch, serial_pool):
         # Each task reports a run time of 2 s where it ran.
