@@ -89,7 +89,7 @@ def _side_by_side(left_title: str, left: str, right_title: str, right: str) -> s
 def _cmd_rsk(args: argparse.Namespace) -> int:
     w = _parse_permutation(args.perm)
     pair = rsk(w)
-    payload = {"P": pair.p.rows, "Q": pair.q.rows}
+    payload = {"P": pair.p, "Q": pair.q}
     _emit(payload, args.json, _side_by_side("P:", pair.p.ascii(), "Q:", pair.q.ascii()))
     return 0
 
@@ -98,7 +98,7 @@ def _cmd_evac(args: argparse.Namespace) -> int:
     t = _parse_tableau(args.tableau)
     trace = evacuation_trace(t)
     payload = {
-        "result": trace.evacuation.rows,
+        "result": trace.evacuation,
         "vacated_cells": trace.vacated_cells,
     }
     text = trace.evacuation.ascii() + "\nvacated: " + " ".join(
@@ -120,14 +120,14 @@ def _cmd_delta(args: argparse.Namespace) -> int:
 def _cmd_phi(args: argparse.Namespace) -> int:
     w = _parse_permutation(args.perm)
     result = phi(w, args.a, args.b)
-    _emit({"result": result.entries}, args.json, str(result))
+    _emit({"result": result}, args.json, str(result))
     return 0
 
 
 def _cmd_theta(args: argparse.Namespace) -> int:
     w = _parse_permutation(args.perm)
     result = theta(w)
-    _emit({"result": result.entries}, args.json, str(result))
+    _emit({"result": result}, args.json, str(result))
     return 0
 
 
@@ -141,11 +141,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
     characterized = in_h and first_row
     agrees = in_r == characterized
     payload = {
-        "permutation": w.entries,
+        "permutation": w,
         "in_R": in_r,
         "in_H": in_h,
-        "Q": q.rows,
-        "Q_of_reverse": q_reverse.rows,
+        "Q": q,
+        "Q_of_reverse": q_reverse,
         "symmetric_hook": in_h,
         "first_row_property": first_row,
         "characterization": characterized,
@@ -175,12 +175,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             which, n, workers=args.workers, list_max=args.list_max, max_n=args.max_n
         )
         if which == "M":
-            rendered = [t.rows for t in members]
             text = "\n\n".join(t.ascii() for t in members)
         else:
-            rendered = [w.entries for w in members]
-            text = "\n".join(str(w) for w in members)
-        payload: dict = {"set": which, "n": n, "count": len(members), "members": rendered}
+            text = "\n".join(map(str, members))
+        payload: dict = {"set": which, "n": n, "count": len(members), "members": members}
     else:
         if which == "R":
             count = enumeration.count_R(n, workers=args.workers, max_n=args.max_n)

@@ -359,7 +359,7 @@ def _inverse_images(recording: list[StandardYoungTableau]) -> list[tuple[int, ..
     tableau of the recording tableau's shape."""
     fillings = cache(enumerate_syt)
     pairs = (TableauPair(p, q) for q in recording for p in fillings(q.shape))
-    return sorted(inverse_rsk(pair).entries for pair in pairs)
+    return sorted(inverse_rsk(pair) for pair in pairs)
 
 
 def _relations_failure(n: int) -> str | None:
@@ -379,14 +379,14 @@ def _relations_failure(n: int) -> str | None:
     reverse = [rank[word[::-1]] for word in words]
     # ((0,) + w).index(v) is the position of v in w, the entry v of w's inverse.
     inverse = [rank[tuple(map(((0,) + word).index, letters))] for word in words]
-    numbers: dict[tuple[tuple[int, ...], ...], int] = {}
+    numbers: dict[StandardYoungTableau, int] = {}
     tableaux: list[StandardYoungTableau] = []
 
     def number(t: StandardYoungTableau) -> int:
-        if t.rows not in numbers:
-            numbers[t.rows] = len(tableaux)
+        if t not in numbers:
+            numbers[t] = len(tableaux)
             tableaux.append(t)
-        return numbers[t.rows]
+        return numbers[t]
 
     pairs = [tuple(map(number, rsk(Permutation._trusted(word)))) for word in words]
     # Each evacuation and transpose may number a new tableau, so each
@@ -432,9 +432,9 @@ def _phi_theta_failure(n: int) -> str | None:
         w = Permutation._trusted(word)
         for a, b in ends:
             lifted = phi(w, a, b)
-            if theta(lifted).entries != word:
+            if theta(lifted) != word:
                 return f"projection fails to undo lift ({a},{b}) of {w}"
-            source[lifted.entries] = r
+            source[lifted] = r
     # A lift that is no word of S_{n+2} covers nothing.
     projected = list(map(source.get, permutations(range(1, m + 1))))
     covered = len(projected) - projected.count(None)
@@ -540,9 +540,9 @@ def _transport(members: list[tuple[int, ...]]) -> tuple[bool, str]:
     for entries in members:
         v = Permutation._trusted(entries)
         projected = theta(v)
-        if not same_recording_tableau(projected.entries, projected.entries[::-1]):
+        if not same_recording_tableau(projected, projected[::-1]):
             return False, f"projection of {v} leaves the reverse-stable set"
-        if phi(projected, v.entries[0], v.entries[-1]) != v:
+        if phi(projected, v[0], v[-1]) != v:
             return False, f"endpoint lift does not reassemble {v}"
     return True, f"checked {len(members)} members"
 

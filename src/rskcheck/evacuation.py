@@ -71,7 +71,7 @@ def _remove_corner(rows: list[list[int]], r: int, c: int) -> None:
 
 def _as_grid(t: StandardYoungTableau | Iterable[Sequence[int]]) -> Grid:
     if isinstance(t, StandardYoungTableau):
-        return t.rows
+        return t
     return validate_grid(t)
 
 
@@ -100,15 +100,15 @@ def evacuation_trace(t: StandardYoungTableau) -> EvacuationTrace:
     the record is a standard tableau of the original shape.
     """
     n = t.n
-    work = [list(row) for row in t.rows]
-    out = [[0] * len(row) for row in t.rows]
+    work = [list(row) for row in t]
+    out = [[0] * len(row) for row in t]
     vacated: list[Cell] = []
     for i in range(n):
         r, c = _slide(work, 0, 0)
         _remove_corner(work, r, c)
         out[r][c] = n - i
         vacated.append(Cell(r + 1, c + 1))
-    evacuated = StandardYoungTableau._trusted(tuple(map(tuple, out)))
+    evacuated = StandardYoungTableau._trusted(map(tuple, out))
     return EvacuationTrace(tuple(vacated), evacuated)
 
 

@@ -1,5 +1,6 @@
-"""One-line permutations: reverse/complement/inverse operators and
-deterministic lexicographic iteration over the symmetric group."""
+"""One-line permutations, each the immutable tuple of its entries:
+reverse/complement/inverse operators and deterministic lexicographic
+iteration over the symmetric group."""
 
 from __future__ import annotations
 
@@ -18,17 +19,17 @@ __all__ = [
 MAX_SIZE = 20
 
 
-class Permutation:
-    """A permutation of {1, ..., n} in one-line notation.
+class Permutation(tuple):
+    """A permutation of {1, ..., n} in one-line notation: the immutable
+    tuple of its entries.
 
-    Entries are stored as an immutable tuple. The empty permutation (n = 0)
-    is allowed only as an iteration base case. Positions are 1-based in all
-    error messages.
+    The empty permutation (n = 0) is allowed only as an iteration base
+    case. Positions are 1-based in all error messages.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ()
 
-    def __init__(self, values: Iterable[int]) -> None:
+    def __new__(cls, values: Iterable[int]) -> "Permutation":
         entries = tuple(values)
         n = len(entries)
         if n > MAX_SIZE:
@@ -44,14 +45,10 @@ class Permutation:
             if seen[v]:
                 raise ValueError(f"duplicate value {v} at position {i}")
             seen[v] = True
-        self.entries: tuple[int, ...] = entries
+        return tuple.__new__(cls, entries)
 
-    @classmethod
-    def _trusted(cls, entries: tuple[int, ...]) -> "Permutation":
-        """Wrap entries the library built itself, without validating them."""
-        w = object.__new__(cls)
-        w.entries = entries
-        return w
+    # Wraps entries the library built itself, without validating them.
+    _trusted = classmethod(tuple.__new__)
 
     @classmethod
     def parse(cls, text: str) -> "Permutation":
@@ -74,47 +71,35 @@ class Permutation:
         raise ValueError(f"cannot parse permutation from {text!r}")
 
     @property
+    def entries(self) -> tuple[int, ...]:
+        """The permutation itself, which is the tuple of its entries."""
+        return self
+
+    @property
     def n(self) -> int:
-        return len(self.entries)
+        return len(self)
 
     def reverse(self) -> "Permutation":
         """w_n ... w_1."""
-        return Permutation._trusted(self.entries[::-1])
+        return Permutation._trusted(self[::-1])
 
     def complement(self) -> "Permutation":
         """(n+1-w_1) ... (n+1-w_n)."""
-        m = len(self.entries) + 1
-        return Permutation._trusted(tuple(m - v for v in self.entries))
+        m = len(self) + 1
+        return Permutation._trusted(m - v for v in self)
 
     def inverse(self) -> "Permutation":
         """The permutation whose entry at position w_i is i."""
-        inv = [0] * len(self.entries)
-        for i, v in enumerate(self.entries, start=1):
+        inv = [0] * len(self)
+        for i, v in enumerate(self, start=1):
             inv[v - 1] = i
-        return Permutation._trusted(tuple(inv))
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.entries)
-
-    def __getitem__(self, index: int) -> int:
-        return self.entries[index]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
+        return Permutation._trusted(inv)
 
     def __str__(self) -> str:
-        return " ".join(map(str, self.entries))
+        return " ".join(map(str, self))
 
     def __repr__(self) -> str:
-        return f"Permutation({list(self.entries)})"
+        return f"Permutation({list(self)})"
 
 
 def next_permutation(values: list[int]) -> bool:
@@ -157,7 +142,7 @@ def unrank(n: int, r: int) -> Permutation:
         block //= k
         idx, r = divmod(r, block)
         out.append(pool.pop(idx))
-    return Permutation._trusted(tuple(out))
+    return Permutation._trusted(out)
 
 
 def iterate_sn(n: int) -> Iterator[Permutation]:

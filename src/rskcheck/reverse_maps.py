@@ -51,7 +51,7 @@ def phi(w: Permutation, a: int, b: int) -> Permutation:
         raise ValueError(f"size {m} exceeds the supported maximum {MAX_SIZE}")
     c, d = (a, b) if a < b else (b, a)
     out = [a]
-    for v in w.entries:
+    for v in w:
         if v < c:
             out.append(v)
         elif v < d - 1:
@@ -59,7 +59,7 @@ def phi(w: Permutation, a: int, b: int) -> Permutation:
         else:
             out.append(v + 2)
     out.append(b)
-    return Permutation._trusted(tuple(out))
+    return Permutation._trusted(out)
 
 
 def theta(w: Permutation) -> Permutation:
@@ -72,17 +72,17 @@ def theta(w: Permutation) -> Permutation:
     """
     if w.n < 3:
         raise ValueError(f"requires size at least 3, got {w.n}")
-    first, last = w.entries[0], w.entries[-1]
+    first, last = w[0], w[-1]
     c, d = (first, last) if first < last else (last, first)
     out = []
-    for v in w.entries[1:-1]:
+    for v in w[1:-1]:
         if v < c:
             out.append(v)
         elif v < d:
             out.append(v - 1)
         else:
             out.append(v - 2)
-    return Permutation._trusted(tuple(out))
+    return Permutation._trusted(out)
 
 
 def is_in_R(w: Permutation) -> bool:
@@ -94,7 +94,7 @@ def is_in_R(w: Permutation) -> bool:
     """
     if w.n < 1:
         raise ValueError("requires a nonempty permutation")
-    return same_recording_tableau(w.entries, w.entries[::-1])
+    return same_recording_tableau(w, w[::-1])
 
 
 def is_in_H(w: Permutation) -> bool:
@@ -106,11 +106,11 @@ def is_in_H(w: Permutation) -> bool:
 
 def satisfies_first_row_property(t: StandardYoungTableau) -> bool:
     """Whether every first-row entry i > 1 pairs with n - i + 2 in column 1."""
-    if not t.rows:
+    if not t:
         return True
     n = t.n
-    first_column = {row[0] for row in t.rows}
-    return all(n - i + 2 in first_column for i in t.rows[0] if i > 1)
+    first_column = {row[0] for row in t}
+    return all(n - i + 2 in first_column for i in t[0] if i > 1)
 
 
 def is_in_M(t: StandardYoungTableau) -> bool:

@@ -137,10 +137,10 @@ def rsk(w: Permutation) -> TableauPair:
     """Map a permutation to its (insertion, recording) tableau pair."""
     if w.n < 1:
         raise ValueError("rsk requires a nonempty permutation")
-    p_rows, q_rows = _schensted(w.entries)
+    p_rows, q_rows = _schensted(w)
     return TableauPair(
-        StandardYoungTableau._trusted(tuple(map(tuple, p_rows))),
-        StandardYoungTableau._trusted(tuple(map(tuple, q_rows))),
+        StandardYoungTableau._trusted(map(tuple, p_rows)),
+        StandardYoungTableau._trusted(map(tuple, q_rows)),
     )
 
 
@@ -152,8 +152,8 @@ def inverse_rsk(pair: TableauPair) -> Permutation:
     rightmost smaller entry of the row above, until it exits the top row
     as a letter of the permutation.
     """
-    row_of = {v: r for r, row in enumerate(pair.q.rows) for v in row}
-    p_rows = [list(row) for row in pair.p.rows]
+    row_of = {v: r for r, row in enumerate(pair.q) for v in row}
+    p_rows = [list(row) for row in pair.p]
     letters = [_uninsert(p_rows, row_of[k]) for k in range(pair.q.n, 0, -1)]
     return Permutation(letters[::-1])
 

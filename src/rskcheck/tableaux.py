@@ -1,5 +1,6 @@
-"""Integer partition shapes and standard Young tableaux: validation,
-transposition, hook predicates, enumeration, and hook-length counting."""
+"""Integer partition shapes and standard Young tableaux, each the
+immutable tuple of its parts or rows: validation, transposition, hook
+predicates, enumeration, and hook-length counting."""
 
 from __future__ import annotations
 
@@ -25,15 +26,16 @@ class Cell(namedtuple("Cell", "row col")):
     __slots__ = ()
 
 
-class Shape:
-    """An integer partition drawn as a left-justified Young diagram.
+class Shape(tuple):
+    """An integer partition drawn as a left-justified Young diagram: the
+    immutable tuple of its parts.
 
     Parts weakly decrease and are all positive; the empty shape is legal.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    def __init__(self, parts: Iterable[int]) -> None:
+    def __new__(cls, parts: Iterable[int]) -> "Shape":
         parts = tuple(parts)
         previous = None
         for i, p in enumerate(parts, start=1):
@@ -46,25 +48,24 @@ class Shape:
                     f"parts must weakly decrease: part {p} at index {i} exceeds {previous}"
                 )
             previous = p
-        self.parts: tuple[int, ...] = parts
+        return tuple.__new__(cls, parts)
 
-    @classmethod
-    def _trusted(cls, parts: tuple[int, ...]) -> "Shape":
-        """Wrap parts the library built itself, without validating them."""
-        shape = object.__new__(cls)
-        shape.parts = parts
-        return shape
+    # Wraps parts the library built itself, without validating them.
+    _trusted = classmethod(tuple.__new__)
+
+    @property
+    def parts(self) -> tuple[int, ...]:
+        """The shape itself, which is the tuple of its parts."""
+        return self
 
     @property
     def size(self) -> int:
-        return sum(self.parts)
+        return sum(self)
 
     def conjugate(self) -> "Shape":
         """Transpose the diagram: part j of the result counts parts >= j."""
-        width = self.parts[0] if self.parts else 0
-        return Shape._trusted(
-            tuple(sum(1 for p in self.parts if p >= j) for j in range(1, width + 1))
-        )
+        width = self[0] if self else 0
+        return Shape._trusted(sum(1 for p in self if p >= j) for j in range(1, width + 1))
 
     def is_hook(self) -> bool:
         """True for (k, 1, 1, ..., 1).
@@ -72,35 +73,18 @@ class Shape:
         The single cell (1) counts as a hook; a bare row (k) with k >= 2
         does not.
         """
-        if not self.parts:
+        if not self:
             raise ValueError("empty shape")
-        if self.parts == (1,):
+        if self == (1,):
             return True
-        return len(self.parts) >= 2 and all(p == 1 for p in self.parts[1:])
+        return len(self) >= 2 and all(p == 1 for p in self[1:])
 
     def is_symmetric_hook(self) -> bool:
         """A hook equal to its conjugate: ((n+1)/2, 1^((n-1)/2)), n odd."""
         return self.is_hook() and self.conjugate() == self
 
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __getitem__(self, index: int) -> int:
-        return self.parts[index]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Shape):
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
-
     def __repr__(self) -> str:
-        return f"Shape({list(self.parts)})"
+        return f"Shape({list(self)})"
 
 
 def validate_grid(rows: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -136,13 +120,13 @@ def validate_grid(rows: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     return grid
 
 
-class StandardYoungTableau:
+class StandardYoungTableau(tuple):
     """A ragged grid filled with 1..n, strictly increasing along rows and
-    down columns."""
+    down columns: the immutable tuple of its rows, each a tuple."""
 
-    __slots__ = ("rows",)
+    __slots__ = ()
 
-    def __init__(self, rows: Iterable[Sequence[int]]) -> None:
+    def __new__(cls, rows: Iterable[Sequence[int]]) -> "StandardYoungTableau":
         grid = validate_grid(rows)
         n = sum(len(row) for row in grid)
         present = {v for row in grid for v in row}
@@ -151,33 +135,34 @@ class StandardYoungTableau:
         for v in range(1, n + 1):
             if v not in present:
                 raise ValueError(f"missing entry {v}: entries must be exactly 1..{n}")
-        self.rows: tuple[tuple[int, ...], ...] = grid
+        return tuple.__new__(cls, grid)
 
-    @classmethod
-    def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "StandardYoungTableau":
-        """Wrap rows the library built itself, without validating them."""
-        t = object.__new__(cls)
-        t.rows = rows
-        return t
+    # Wraps rows the library built itself, without validating them.
+    _trusted = classmethod(tuple.__new__)
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The tableau itself, which is the tuple of its rows."""
+        return self
 
     @property
     def n(self) -> int:
-        return sum(len(row) for row in self.rows)
+        return sum(map(len, self))
 
     @property
     def shape(self) -> Shape:
-        return Shape._trusted(tuple(map(len, self.rows)))
+        return Shape._trusted(map(len, self))
 
     def transpose(self) -> "StandardYoungTableau":
         """Reflect across the main diagonal: cell (i,j) moves to (j,i)."""
-        width = len(self.rows[0]) if self.rows else 0
+        width = len(self[0]) if self else 0
         return StandardYoungTableau._trusted(
-            tuple(tuple(row[j] for row in self.rows if len(row) > j) for j in range(width))
+            tuple(row[j] for row in self if len(row) > j) for j in range(width)
         )
 
     def cell_of(self, value: int) -> Cell:
         """Locate an entry; raises ValueError when absent."""
-        for r, row in enumerate(self.rows, start=1):
+        for r, row in enumerate(self, start=1):
             for c, v in enumerate(row, start=1):
                 if v == value:
                     return Cell(r, c)
@@ -185,22 +170,14 @@ class StandardYoungTableau:
 
     def reading_word(self) -> tuple[int, ...]:
         """Concatenation of the rows, top row first."""
-        return tuple(chain.from_iterable(self.rows))
+        return tuple(chain.from_iterable(self))
 
     def ascii(self) -> str:
         """One row per line, cells space-separated."""
-        return "\n".join(" ".join(map(str, row)) for row in self.rows)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StandardYoungTableau):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
+        return "\n".join(" ".join(map(str, row)) for row in self)
 
     def __repr__(self) -> str:
-        return f"StandardYoungTableau({[list(row) for row in self.rows]})"
+        return f"StandardYoungTableau({[list(row) for row in self]})"
 
 
 def partitions(n: int) -> Iterator[Shape]:
@@ -226,7 +203,7 @@ def enumerate_syt(shape: Shape) -> list[StandardYoungTableau]:
     Built by recursively removing the largest entry from a corner, then
     sorted by reading word so the order is deterministic.
     """
-    tableaux = [StandardYoungTableau._trusted(rows) for rows in _fillings(shape.parts)]
+    tableaux = [StandardYoungTableau._trusted(rows) for rows in _fillings(shape)]
     tableaux.sort(key=StandardYoungTableau.reading_word)
     return tableaux
 
@@ -258,9 +235,9 @@ def count_syt(shape: Shape) -> int:
     n = shape.size
     if n == 0:
         return 1
-    conj = shape.conjugate().parts
+    conj = shape.conjugate()
     hook_product = 1
-    for i, p in enumerate(shape.parts):
+    for i, p in enumerate(shape):
         for j in range(p):
             hook_product *= (p - j) + (conj[j] - i) - 1
     return factorial(n) // hook_product

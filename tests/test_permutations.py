@@ -25,9 +25,19 @@ class TestConstruction:
     def test_empty_is_allowed(self):
         assert Permutation([]).n == 0
 
-    def test_duplicate_rejected_with_position(self):
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Permutation([1, 1, 2]),
+            lambda: Permutation(iter([1, 1, 2])),
+            lambda: Permutation.parse("112"),
+            lambda: Permutation(values=[1, 1, 2]),
+        ],
+        ids=["list", "iter", "parse", "keyword"],
+    )
+    def test_duplicate_rejected_with_position(self, build):
         with pytest.raises(ValueError, match=r"duplicate value 1 at position 2"):
-            Permutation([1, 1, 2])
+            build()
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError, match=r"entry 0 at position 1"):

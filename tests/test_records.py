@@ -1,5 +1,7 @@
 """The record types are immutable named tuples: built by keyword, read by
-attribute, never assigned, equal and hashed by their fields."""
+attribute, never assigned, equal and hashed by their fields. The value
+types Permutation, Shape and StandardYoungTableau are immutable tuples of
+their entries, parts and rows."""
 
 import importlib
 import pickle
@@ -12,7 +14,7 @@ from rskcheck.enumeration import VerificationReport
 from rskcheck.evacuation import EvacuationTrace, evacuation_trace
 from rskcheck.permutations import Permutation
 from rskcheck.rsk import InsertionOutcome, TableauPair, row_insert, rsk
-from rskcheck.tableaux import Cell, StandardYoungTableau
+from rskcheck.tableaux import Cell, Shape, StandardYoungTableau
 
 P = StandardYoungTableau([[1, 3], [2]])
 Q = StandardYoungTableau([[1, 2], [3]])
@@ -65,6 +67,28 @@ class TestRecordTypes:
     def test_pickle_round_trip(self, cls, fields):
         record = cls(**fields)
         assert pickle.loads(pickle.dumps(record)) == record
+
+
+VALUES = [
+    (Permutation([2, 1, 3]), "entries"),
+    (Shape([2, 1]), "parts"),
+    (StandardYoungTableau([[1, 3], [2]]), "rows"),
+]
+
+
+@pytest.mark.parametrize("value, field", VALUES, ids=[type(value).__name__ for value, _ in VALUES])
+def test_values_are_immutable_tuples(value, field):
+    plain = tuple(value)
+    for name in (field, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, plain[::-1])
+    assert getattr(value, field) is value
+    assert value == plain
+    assert hash(value) == hash(plain)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(value, protocol))
+        assert type(copy) is type(value)
+        assert copy == value
 
 
 class TestRecordBehaviour:

@@ -57,9 +57,10 @@ class TestShape:
         assert Shape([]).size == 0
         assert Shape([2, 2, 1]).size == 5
 
-    def test_increasing_parts_rejected(self):
+    @pytest.mark.parametrize("given", [list, iter])
+    def test_increasing_parts_rejected(self, given):
         with pytest.raises(ValueError, match="weakly decrease"):
-            Shape([1, 2])
+            Shape(given([1, 2]))
 
     def test_nonpositive_part_rejected(self):
         with pytest.raises(ValueError, match="not positive"):
@@ -141,9 +142,10 @@ class TestTableauConstruction:
         assert t.shape == Shape([3, 1, 1])
         assert t.n == 5
 
-    def test_duplicate_entry(self):
+    @pytest.mark.parametrize("given", [list, iter])
+    def test_duplicate_entry(self, given):
         with pytest.raises(ValueError, match=r"duplicate entry 2"):
-            StandardYoungTableau([[1, 2], [2]])
+            StandardYoungTableau(given([[1, 2], [2]]))
 
     def test_row_order_violation(self):
         with pytest.raises(ValueError, match=r"row order violated at \(1,2\)"):
