@@ -3,9 +3,12 @@ counts, memberships, and machine-readable verification reports.
 
 R_n is listed by one pruned search, `_reverse_stable`: it builds each
 word from both ends, inserts in lockstep, and drops a subtree at the
-first recording step that differs; every word it completes is judged by
-the definitional `same_recording_tableau`. Its members are sorted, so
-they come out in rank order.
+first recording step that differs. Each task keeps its insertion steps
+in a table, so a step is worked out once and undone for free. Every
+word it completes is judged by the definitional `same_recording_tableau`,
+which goes on from the search's own insertion rows through the steps
+the search has not compared. Its members are sorted, so they come out
+in rank order.
 
 H_n and C_n, whose recording tableaux are the symmetric hooks and those
 of them with the first-row property, are not searched: by the RSK
@@ -52,7 +55,7 @@ from math import comb, factorial
 from .evacuation import evacuation
 from .permutations import Permutation
 from .reverse_maps import is_in_M, phi, satisfies_first_row_property, theta
-from .rsk import TableauPair, _insert, _uninsert, inverse_rsk, rsk, same_recording_tableau
+from .rsk import TableauPair, _insert, inverse_rsk, rsk, same_recording_tableau
 from .tableaux import Shape, StandardYoungTableau, enumerate_syt
 
 __all__ = [
@@ -165,10 +168,20 @@ def _reverse_stable(task: tuple[int, int, int]) -> list[tuple[int, ...]]:
     w_{n+1-k}, bumps w_k into the forward rows and w_{n+1-k} into the
     reverse rows, and goes on only with a w_{n+1-k} whose new cell is
     w_k's. Step k of Q(w) and of Q(w^r) is compared there, so a subtree
-    dropped at a mismatch holds no member. Each step is undone in place by
-    a reverse bump. For odd n the middle letter is forced. Every completed
-    word is judged by same_recording_tableau, the module global at the
-    time of the search.
+    dropped at a mismatch holds no member. For odd n the middle letter is
+    forced.
+
+    The rows are kept in a step table that lives as long as the task.
+    Each distinct row state gets an int id when it is first made, and
+    steps[id][x] holds the id after bumping x, with the new cell; _insert
+    works a step out the first time it is needed. So a node looks up the
+    reverse rows' cell of each free letter once, not once for every w_k,
+    and undoing a step is going back to the parent's id.
+
+    Every completed word is judged by same_recording_tableau, the module
+    global at the time of the search. It is given steps n//2+1..n of w
+    and of w^r and starts from the two rows the search holds, whose steps
+    1..n//2 the search has compared.
 
     Q(w) = Q(w^r) is symmetric in w and w^r, and so is the search: step k
     compares the same two cells for both. So each member is recorded
@@ -179,31 +192,47 @@ def _reverse_stable(task: tuple[int, int, int]) -> list[tuple[int, ...]]:
     half = n // 2
     w = [0] * n
     w[0], w[-1] = first, last
-    # The first letter of each end lands in the empty rows' one corner.
-    forward: list[list[int]] = [[first]]
-    backward: list[list[int]] = [[last]]
     found = []
+    # The step table: state ids by rows, the rows of each id, and its
+    # steps; id 0 is the empty rows.
+    ids: dict[tuple[tuple[int, ...], ...], int] = {(): 0}
+    rows: list[tuple[tuple[int, ...], ...]] = [()]
+    steps: list[dict[int, tuple[int, tuple[int, int]]]] = [{}]
 
-    def extend(k: int, free: tuple[int, ...]) -> None:
+    def step(i: int, x: int) -> tuple[int, tuple[int, int]]:
+        grid = [list(row) for row in rows[i]]
+        cell = _insert(grid, x)
+        key = tuple(map(tuple, grid))
+        if (j := ids.get(key)) is None:
+            j = ids[key] = len(rows)
+            rows.append(key)
+            steps.append({})
+        steps[i][x] = made = j, cell
+        return made
+
+    def extend(k: int, free: tuple[int, ...], front: int, back: int) -> None:
         if k == half:
             if free:
                 w[half] = free[0]
-            if same_recording_tableau(w, w[::-1]):
+            tails = w[half:], w[n - 1 - half :: -1]
+            if same_recording_tableau(*tails, start=(rows[front], rows[back])):
                 found.extend((tuple(w), tuple(w[::-1])))
             return
+        ahead, behind = steps[front], steps[back]
+        backs = [behind.get(b) or step(back, b) for b in free]
         for i, a in enumerate(free):
-            rest = free[:i] + free[i + 1 :]
             w[k] = a
-            cell = _insert(forward, a)
-            for j, b in enumerate(rest):
-                back = _insert(backward, b)
-                if back == cell:
-                    w[n - 1 - k] = b
-                    extend(k + 1, rest[:j] + rest[j + 1 :])
-                _uninsert(backward, back[0])
-            _uninsert(forward, cell[0])
+            after, cell = ahead.get(a) or step(front, a)
+            for j, (before, back_cell) in enumerate(backs):
+                if back_cell == cell and j != i:
+                    w[n - 1 - k] = free[j]
+                    lo, hi = sorted((i, j))
+                    extend(k + 1, free[:lo] + free[lo + 1 : hi] + free[hi + 1 :], after, before)
 
-    extend(1, tuple(a for a in range(1, n + 1) if a not in (first, last)))
+    free = tuple(a for a in range(1, n + 1) if a not in (first, last))
+    extend(1, free, step(0, first)[0], step(0, last)[0])
+    # extend refers to itself: break that cycle, so the table goes now.
+    del extend
     return found
 
 

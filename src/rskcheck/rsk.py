@@ -169,15 +169,25 @@ def recording_cells(values: Sequence[int]) -> list[Cell]:
     return [Cell(r + 1, c + 1) for r, c in (_insert(rows, x) for x in values)]
 
 
-def same_recording_tableau(u: Iterable[int], v: Iterable[int]) -> bool:
+def same_recording_tableau(
+    u: Iterable[int],
+    v: Iterable[int],
+    *,
+    start: tuple[Iterable[Sequence[int]], Iterable[Sequence[int]]] = ((), ()),
+) -> bool:
     """Whether inserting u and inserting v grow cells in the identical
     order, i.e. whether the two recording tableaux are equal.
 
     The sequences must have equal length. Both insertion runs advance in
     lockstep and stop at the first step whose new cells differ.
+
+    `start` holds the insertion rows that u and v are bumped into, empty by
+    default. With the rows of P(x) and P(y) for two words of equal length
+    k, the answer is whether steps k+1 onwards of Q(x + u) and Q(y + v)
+    agree. The rows are copied, never changed.
     """
-    rows_u: list[list[int]] = []
-    rows_v: list[list[int]] = []
+    rows_u = [list(row) for row in start[0]]
+    rows_v = [list(row) for row in start[1]]
     for xu, xv in zip(u, v, strict=True):
         if _insert(rows_u, xu) != _insert(rows_v, xv):
             return False

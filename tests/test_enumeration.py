@@ -132,7 +132,7 @@ class TestCounts:
     def test_workers_below_one_rejected_once_per_sweep(self, monkeypatch, workers):
         visited = []
         monkeypatch.setattr(
-            enumeration, "same_recording_tableau", lambda u, v: visited.append(u)
+            enumeration, "same_recording_tableau", lambda u, v, start: visited.append(u)
         )
         with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
             count_R(5, workers=workers)
@@ -180,9 +180,14 @@ class TestPrunedSweepAgainstBruteForce:
     def test_leaf_judges_one_word_of_each_reversal_pair(self, monkeypatch):
         judged = []
         real = enumeration.same_recording_tableau
-        monkeypatch.setattr(
-            enumeration, "same_recording_tableau", lambda u, v: judged.append(tuple(u)) or real(u, v)
-        )
+
+        def leaf(u, v, *, start):
+            # The leaf gets the tails of w and w^r past the search's steps:
+            # v reversed is w's front, and w's last 9 - len(v) letters end u.
+            judged.append((*v[::-1], *u[len(u) - (9 - len(v)) :]))
+            return real(u, v, start=start)
+
+        monkeypatch.setattr(enumeration, "same_recording_tableau", leaf)
         assert count_R(9) == 1120
         # a search of both orders would complete 40,320 words
         assert len(set(judged)) == len(judged) == 20160

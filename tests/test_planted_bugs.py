@@ -22,9 +22,9 @@ def failures(reports):
     return [(r.n, r.observed, r.detail) for r in reports if not r.passed]
 
 
-def lockstep_one_step_short(u, v):
+def lockstep_one_step_short(u, v, *, start=((), ())):
     """Compares every recording step but the last."""
-    return real_same_recording_tableau(list(u)[:-1], list(v)[:-1])
+    return real_same_recording_tableau(list(u)[:-1], list(v)[:-1], start=start)
 
 
 def theta_reversed(w):
@@ -63,7 +63,7 @@ def test_count_fails_when_every_leaf_passes(monkeypatch, workers):
     # verdict, and it judges one word of each reversal pair: 1, 3 and 6
     # words of S_2, S_3 and S_4. Each is recorded together with its
     # reverse, which gives the counts 2, 6 and 12.
-    monkeypatch.setattr(enumeration, "same_recording_tableau", lambda u, v: True)
+    monkeypatch.setattr(enumeration, "same_recording_tableau", lambda u, v, start: True)
     reports = enumeration.verify_count_theorem(4, workers=workers)
     assert failures(reports) == [(2, 2, None), (3, 6, None), (4, 12, None)]
 
@@ -80,6 +80,35 @@ def test_count_failure_reaches_the_cli(capsys, tmp_path, monkeypatch):
         ["PASS", "count_R", "n=1"],
         ["FAIL", "count_R", "n=2"],
         ["PASS", "count_R", "n=3"],
+    ]
+
+
+def leaf_forgets_the_search_rows(u, v, start):
+    """Compares the two tails from empty rows, not from the search's."""
+    return real_same_recording_tableau(u, v)
+
+
+@WORKERS
+def test_count_fails_when_the_leaf_forgets_the_search_rows(monkeypatch, workers):
+    # The leaf gets only steps half+1..n; at n = 3 the count is right by chance.
+    monkeypatch.setattr(enumeration, "same_recording_tableau", leaf_forgets_the_search_rows)
+    reports = enumeration.verify_count_theorem(5, workers=workers)
+    assert failures(reports) == [(2, 2, None), (4, 12, None), (5, 44, None)]
+
+
+def test_forgotten_search_rows_reach_the_cli(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(enumeration, "same_recording_tableau", leaf_forgets_the_search_rows)
+    code = cli.main(
+        ["verify", "--count", "--n-max", "5", "--workers", "2", "--out", str(tmp_path / "r.jsonl")]
+    )
+    out = capsys.readouterr().out
+    assert code == 1
+    assert [line.split()[:3] for line in out.splitlines()] == [
+        ["PASS", "count_R", "n=1"],
+        ["FAIL", "count_R", "n=2"],
+        ["PASS", "count_R", "n=3"],
+        ["FAIL", "count_R", "n=4"],
+        ["FAIL", "count_R", "n=5"],
     ]
 
 
@@ -106,7 +135,7 @@ def test_characterization_fails_when_every_leaf_passes(monkeypatch, workers):
     # The R side is the pruned search, so the words it reports are its
     # completed leaves: at n = 4 that is 1 2 4 3, where a rank scan would
     # report 1 2 3 4.
-    monkeypatch.setattr(enumeration, "same_recording_tableau", lambda u, v: True)
+    monkeypatch.setattr(enumeration, "same_recording_tableau", lambda u, v, start: True)
     reports = enumeration.verify_characterization(5, workers=workers)
     assert failures(reports) == [
         (2, False, "first counterexample: 1 2"),

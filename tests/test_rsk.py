@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -225,6 +227,50 @@ class TestRecordingHelpers:
         v = Permutation(shuffled)
         expected = rsk(w).q == rsk(v).q
         assert same_recording_tableau(w.entries, v.entries) == expected
+
+
+def recording_cells_of(word):
+    """Each step of Q(word), mapped to the cell it makes."""
+    q = naive_insertion_pair(word)[1]
+    return {x: (r, c) for r, row in enumerate(q) for c, x in enumerate(row)}
+
+
+def check_every_split(u, v):
+    """same_recording_tableau on the tails of u and v after each split k,
+    started from the heads' P rows, against steps k+1 onwards of Q(u) and
+    Q(v)."""
+    cells_u, cells_v = recording_cells_of(u), recording_cells_of(v)
+    for k in range(len(u) + 1):
+        start = (naive_insertion_pair(u[:k])[0], naive_insertion_pair(v[:k])[0])
+        later = all(cells_u[x] == cells_v[x] for x in range(k + 1, len(u) + 1))
+        assert same_recording_tableau(u[k:], v[k:], start=start) == later, (u, v, k)
+
+
+class TestResumedComparison:
+    def test_every_split_of_every_reversal_pair_exhaustive(self):
+        for w in iterate_sn(7):
+            check_every_split(w.entries, w.entries[::-1])
+
+    def test_every_split_of_random_pairs(self):
+        rng = random.Random(27)
+        for _ in range(300):
+            n = rng.randint(1, 10)
+            check_every_split(rng.sample(range(1, n + 1), n), rng.sample(range(1, n + 1), n))
+
+    # The first pair differs at step 3; the second agrees through step 4.
+    @pytest.mark.parametrize("u, v", [((1, 2, 4, 3), (3, 4, 2, 1)), ((2, 1, 3, 4), (3, 1, 2, 4))])
+    def test_start_rows_are_not_changed(self, u, v):
+        heads = [[list(row) for row in naive_insertion_pair(x[:2])[0]] for x in (u, v)]
+        before = [[row[:] for row in rows] for rows in heads]
+        same_recording_tableau(u[2:], v[2:], start=(heads[0], heads[1]))
+        assert heads == before
+
+    def test_default_start_is_empty_rows(self):
+        for w in iterate_sn(6):
+            u, v = w.entries, w.entries[::-1]
+            expected = rsk(w).q == rsk(w.reverse()).q
+            assert same_recording_tableau(u, v) == expected
+            assert same_recording_tableau(u, v, start=((), ())) == expected
 
 
 class TestLongestMonotone:
