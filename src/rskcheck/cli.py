@@ -2,10 +2,13 @@
 
 Exit codes: 0 on success (and on verification passes), 1 when any emitted
 verification report fails or a membership check is negative, 2 on usage,
-parse, or range errors, 3 when a pool worker process dies, 130 when
-interrupted (Ctrl-C), 141 when the reader of stdout has closed it, as in
-`rskcheck verify ... | head -1`; the last is silent. On 3 and 130, `verify`
-keeps the reports that finished, on stdout and in its report file.
+parse, or range errors and when a write to stdout or the report file fails,
+as on a full disk (or another system call, such as a fork under a process
+limit), 3 when a pool worker process dies, 130 when interrupted
+(Ctrl-C), 141 when the reader of stdout has closed it, as in
+`rskcheck verify ... | head -1`; the last is silent. On a failed write, 3
+and 130, `verify` keeps the reports that finished, on stdout and in its
+report file; after a failed write nothing more goes to stdout.
 """
 
 from __future__ import annotations
@@ -70,10 +73,6 @@ def _read_tableau_source(source: str) -> object:
     return data
 
 
-def _parse_tableau(source: str) -> StandardYoungTableau:
-    return StandardYoungTableau(_read_tableau_source(source))
-
-
 def _side_by_side(left_title: str, left: str, right_title: str, right: str) -> str:
     left_lines = [left_title] + left.splitlines()
     right_lines = [right_title] + right.splitlines()
@@ -95,8 +94,7 @@ def _cmd_rsk(args: argparse.Namespace) -> int:
 
 
 def _cmd_evac(args: argparse.Namespace) -> int:
-    t = _parse_tableau(args.tableau)
-    trace = evacuation_trace(t)
+    trace = evacuation_trace(StandardYoungTableau(_read_tableau_source(args.tableau)))
     payload = {
         "result": trace.evacuation,
         "vacated_cells": trace.vacated_cells,
@@ -343,6 +341,12 @@ def main(argv: list[str] | None = None) -> int:
         # With fd 1 on the null device, the flush at exit has nothing to fail on.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return PIPE_CLOSED
+    except OSError as exc:
+        # A failed write to stdout or the report file, as on a full disk, or
+        # another failed system call. ChildProcessError, an OSError too, was
+        # handled above.
+        print(f"error: {exc.strerror or exc}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

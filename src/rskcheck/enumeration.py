@@ -60,7 +60,6 @@ from .tableaux import Shape, StandardYoungTableau, enumerate_syt
 
 __all__ = [
     "SUITES",
-    "SetName",
     "VerificationReport",
     "count_H",
     "count_M",
@@ -100,8 +99,6 @@ _CHECKS = {
     "transport": "r_transport",
 }
 SUITES = tuple(_CHECKS)
-
-SetName = str  # the sets list_set accepts: "R", "H" or "M"
 
 _REPORT_FIELDS = "check n observed expected formula passed elapsed_ms workers detail"
 
@@ -408,20 +405,17 @@ def _relations_failure(n: int) -> str | None:
     reverse = [rank[word[::-1]] for word in words]
     # ((0,) + w).index(v) is the position of v in w, the entry v of w's inverse.
     inverse = [rank[tuple(map(((0,) + word).index, letters))] for word in words]
+    # Each tableau's number is its place in the dict's insertion order.
     numbers: dict[StandardYoungTableau, int] = {}
-    tableaux: list[StandardYoungTableau] = []
 
     def number(t: StandardYoungTableau) -> int:
-        if t not in numbers:
-            numbers[t] = len(tableaux)
-            tableaux.append(t)
-        return numbers[t]
+        return numbers.setdefault(t, len(numbers))
 
     pairs = [tuple(map(number, rsk(Permutation._trusted(word)))) for word in words]
     # Each evacuation and transpose may number a new tableau, so each
     # map runs over the tableaux numbered before it.
-    evacuated = list(map(number, map(evacuation, tableaux[:])))
-    transposed = list(map(number, map(StandardYoungTableau.transpose, tableaux[:])))
+    evacuated = list(map(number, map(evacuation, list(numbers))))
+    transposed = list(map(number, map(StandardYoungTableau.transpose, list(numbers))))
     top = len(words) - 1
     for r, (p, q) in enumerate(pairs):
         ep, eq = evacuated[p], evacuated[q]
@@ -517,7 +511,7 @@ def count_M(n: int, *, max_n: int = DEFAULT_MAX_COUNT_N) -> int:
 
 
 def list_set(
-    which: SetName,
+    which: str,
     n: int,
     *,
     workers: int = 1,
@@ -585,9 +579,10 @@ class _Plan(list):
     the pool takes them, and a task's number is its place there. The task
     table, `tasks`, is the one place a claim's tasks are derived: it gives
     each n! claim, keyed by its (suite, n), and each R_n, keyed by n, its
-    range of task numbers, which `results` runs in this process or takes
-    from the pool. The plan's one store, `done`, keeps each task's result
-    by its number, so each task runs once per plan on either path."""
+    range of task numbers, which `results` takes from the pool or, with no
+    pool, runs in this process; either way `_timed` times each task where
+    it ran. The plan's one store, `done`, keeps each task's result by its
+    number, so each task runs once per plan on either path."""
 
     def __init__(
         self, claims: list[tuple[str, int]], workers: int, max_n: int = DEFAULT_MAX_COUNT_N
@@ -601,9 +596,6 @@ class _Plan(list):
                 raise ValueError(f"size must be positive, got {n}")
             if suite not in caps:
                 built.add(n + 2 if suite == "transport" else n)
-        for n in sorted(built):
-            _check_count_range(n, max_n)
-        _check_workers(workers)
         # Each n! claim whole, the largest symmetric group scanned first
         # (phi/theta at n scans S_{n+2}), and then the pair tasks of each R_n.
         scans = {"symmetry": (_relations_failure, 0), "phi_theta": (_phi_theta_failure, 2)}
@@ -611,9 +603,11 @@ class _Plan(list):
         self.queued = [(scans[suite][0], n) for suite, n in whole]
         self.tasks = {claim: range(i, i + 1) for i, claim in enumerate(whole)}
         for n in sorted(built):
+            _check_count_range(n, max_n)
             pairs = [(_reverse_stable, (n, a, b)) for a in range(1, n) for b in range(a + 1, n + 1)]
             self.tasks[n] = range(len(self.queued), len(self.queued) + len(pairs))
             self.queued += pairs
+        _check_workers(workers)
         self.workers = workers
         # Without fork, as with an unknown CPU count, every task runs here.
         cpus = (os.cpu_count() or 1) if hasattr(os, "fork") else 1
@@ -663,18 +657,16 @@ class _Plan(list):
     def results(self, key: tuple[str, int] | int) -> list:
         """The results of the tasks the table gives `key`, a claim's
         (suite, n) or the n of an R_n, in queue order, from the plan's
-        store. A task the store lacks is run here, when the pool would hold
-        one process, or else taken from the pool, which closes once the
-        store holds every queued task; so each task runs once per plan."""
+        store. A task the store lacks is taken from the pool, which closes
+        once the store holds every queued task, or run here when there is
+        no pool; so each task runs once per plan. Both paths time the task
+        by `_timed` where it ran, and the clock is credited with that run
+        time in place of the time spent here."""
         self.start()
         for i in [i for i in self.tasks[key] if i not in self.done]:
-            if self.size <= 1:
-                run, arg = self.queued[i]
-                self.done[i] = run(arg)
-            else:
-                waited = time.perf_counter()
-                self.done[i], seconds = self.pool.take(i)
-                self.credit += seconds - (time.perf_counter() - waited)
+            waited = time.perf_counter()
+            self.done[i], seconds = self.pool.take(i) if self.pool else _timed(*self.queued[i])
+            self.credit += seconds - (time.perf_counter() - waited)
         if len(self.done) == len(self.queued):
             self.close()
         return [self.done[i] for i in self.tasks[key]]

@@ -69,12 +69,6 @@ def _remove_corner(rows: list[list[int]], r: int, c: int) -> None:
         del rows[r]
 
 
-def _as_grid(t: StandardYoungTableau | Iterable[Sequence[int]]) -> Grid:
-    if isinstance(t, StandardYoungTableau):
-        return t
-    return validate_grid(t)
-
-
 def delta(t: StandardYoungTableau | Iterable[Sequence[int]]) -> tuple[Grid, Cell]:
     """Erase the minimal entry and slide the hole out.
 
@@ -83,7 +77,7 @@ def delta(t: StandardYoungTableau | Iterable[Sequence[int]]) -> tuple[Grid, Cell
     whose entries are no longer 1..n. Entries are not renumbered. Returns
     the shrunken grid and the vacated corner.
     """
-    grid = _as_grid(t)
+    grid = t if isinstance(t, StandardYoungTableau) else validate_grid(t)
     if not grid:
         raise ValueError("cannot delete from an empty tableau")
     rows = [list(row) for row in grid]

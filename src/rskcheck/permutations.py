@@ -71,11 +71,6 @@ class Permutation(tuple):
         raise ValueError(f"cannot parse permutation from {text!r}")
 
     @property
-    def entries(self) -> tuple[int, ...]:
-        """The permutation itself, which is the tuple of its entries."""
-        return self
-
-    @property
     def n(self) -> int:
         return len(self)
 

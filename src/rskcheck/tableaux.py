@@ -54,11 +54,6 @@ class Shape(tuple):
     _trusted = classmethod(tuple.__new__)
 
     @property
-    def parts(self) -> tuple[int, ...]:
-        """The shape itself, which is the tuple of its parts."""
-        return self
-
-    @property
     def size(self) -> int:
         return sum(self)
 
@@ -139,11 +134,6 @@ class StandardYoungTableau(tuple):
 
     # Wraps rows the library built itself, without validating them.
     _trusted = classmethod(tuple.__new__)
-
-    @property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        """The tableau itself, which is the tuple of its rows."""
-        return self
 
     @property
     def n(self) -> int:

@@ -110,11 +110,11 @@ def test_criterion_4_map_laws():
         for a, b in pairs:
             lifted = phi(w, a, b)
             assert theta(lifted) == w
-            images.append(lifted.entries)
+            images.append(lifted)
     # the 42 * 120 = 5040 images are distinct and cover S_7 exactly
     assert len(images) == 5040
     assert len(set(images)) == 5040
-    assert set(images) == {w.entries for w in iterate_sn(7)}
+    assert set(images) == set(iterate_sn(7))
     # projection commutes with reverse and complement over all of S_7
     for v in iterate_sn(7):
         assert theta(v.reverse()) == theta(v).reverse()

@@ -244,6 +244,15 @@ class TestEnumerateCommand:
         assert len(payload["members"]) == 4
         assert [[1, 2, 3], [4], [5]] in payload["members"]
 
+    def test_m_list_ignores_list_max(self, capsys):
+        # Listing M is not capped by --list-max, as its docs say.
+        code, out, _ = run_cli(
+            capsys, "enumerate", "--set", "M", "--n", "11", "--list", "--list-max", "3", "--json"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["count"], len(payload["members"])) == (32, 32)
+
     def test_workers_flag(self, capsys):
         code, out, _ = run_cli(
             capsys, "enumerate", "--set", "R", "--n", "6", "--workers", "2", "--json"
@@ -696,6 +705,86 @@ time.sleep(3)
                 os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
             proc.stderr.close()
+
+
+class FullDisk:
+    """A text file that takes `room` writes and refuses each one after them
+    with ENOSPC, as a full disk does, counting the writes it refused."""
+
+    def __init__(self, path, room):
+        self.file = open(path, "w", encoding="utf-8")
+        self.room, self.refused = room, 0
+
+    def write(self, text):
+        if self.room == 0:
+            self.refused += 1
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.room -= 1
+        return self.file.write(text)
+
+    def flush(self):
+        self.file.flush()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.file.close()
+
+
+class TestWriteErrors:
+    """A failed write, to stdout or to the report file, exits 2 with one
+    error line; the reports written before it stay, and nothing more goes
+    to stdout."""
+
+    FULL = f"error: {os.strerror(errno.ENOSPC)}\n"
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_full_report_file_exits_2(self, capsys, monkeypatch, tmp_path, as_json):
+        # The report file takes two reports and refuses the third.
+        monkeypatch.setattr(cli, "open", lambda path, *_, **__: FullDisk(path, 2), raising=False)
+        argv = ["verify", "--count", "--n-max", "4", "--out", str(tmp_path / "r.jsonl")]
+        with open(tmp_path / "stdout", "w", encoding="utf-8") as stdout:
+            with contextlib.redirect_stdout(stdout):
+                code = cli.main([*argv, *(["--json"] if as_json else [])])
+        assert (code, capsys.readouterr().err) == (2, self.FULL)
+        reports = (tmp_path / "r.jsonl").read_text().splitlines()
+        assert [json.loads(line)["n"] for line in reports] == [1, 2]
+        printed = (tmp_path / "stdout").read_text().splitlines()
+        if as_json:
+            assert printed == reports
+        else:
+            assert [line.split()[:3] for line in printed] == [
+                ["PASS", "count_R", "n=1"], ["PASS", "count_R", "n=2"]
+            ]
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_full_stdout_exits_2(self, capsys, tmp_path, as_json):
+        # stdout takes one report, a write of its text and one of its newline.
+        out = tmp_path / "r.jsonl"
+        argv = ["verify", "--count", "--n-max", "4", "--out", str(out)]
+        with FullDisk(tmp_path / "stdout", 2) as stdout, contextlib.redirect_stdout(stdout):
+            code = cli.main([*argv, *(["--json"] if as_json else [])])
+        assert (code, capsys.readouterr().err) == (2, self.FULL)
+        assert stdout.refused == 1
+        # The second report reached the file before stdout refused it.
+        reports = out.read_text().splitlines()
+        assert [json.loads(line)["n"] for line in reports] == [1, 2]
+        printed = (tmp_path / "stdout").read_text().splitlines()
+        if as_json:
+            assert printed == reports[:1]
+        else:
+            assert [line.split()[:3] for line in printed] == [["PASS", "count_R", "n=1"]]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+    def test_full_device_leaves_no_traceback(self):
+        # A whole process: no traceback, and no other exit code at its end.
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "rskcheck", "rsk", "123"],
+                stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
+            )
+        assert (result.returncode, result.stderr) == (2, self.FULL)
 
 
 class TestErrorPaths:

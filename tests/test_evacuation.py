@@ -80,7 +80,7 @@ class TestEvacuation:
             for shape in partitions(n):
                 for t in enumerate_syt(shape):
                     ev = evacuation(t)
-                    assert StandardYoungTableau(ev.rows) == ev
+                    assert StandardYoungTableau(ev) == ev
                     assert ev.shape == t.shape
                     assert evacuation(ev) == t
 
@@ -110,6 +110,6 @@ class TestDeltaPrefixRelation:
         # of the word with its first letter removed, up to relabeling
         for w in iterate_sn(6):
             grid, _ = delta(rsk(w).q)
-            suffix = w.entries[1:]
+            suffix = w[1:]
             suffix_cells = recording_cells(suffix)
             assert cells_in_entry_order(grid) == suffix_cells

@@ -46,7 +46,7 @@ def phi_repeats_a_letter(w, a, b):
     theta still undoes it, since no interior value lies between them."""
     lifted = real_phi(w, a, b)
     if abs(a - b) == 1:
-        return Permutation._trusted(lifted.entries[:-1] + (a,))
+        return Permutation._trusted(lifted[:-1] + (a,))
     return lifted
 
 

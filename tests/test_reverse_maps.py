@@ -57,8 +57,8 @@ class TestPhi:
     def test_endpoints(self):
         w = Permutation.parse("231")
         lifted = phi(w, 4, 2)
-        assert lifted.entries[0] == 4
-        assert lifted.entries[-1] == 2
+        assert lifted[0] == 4
+        assert lifted[-1] == 2
 
     def test_identity_preserved_only_by_extreme_parameters(self):
         e4 = Permutation([1, 2, 3, 4])
@@ -69,17 +69,17 @@ class TestPhi:
         for w in iterate_sn(5):
             for a, b in valid_lift_params(5):
                 lifted = phi(w, a, b)
-                inner = lifted.entries[1:-1]
+                inner = lifted[1:-1]
                 for i in range(5):
                     for j in range(i + 1, 5):
-                        assert (w.entries[i] < w.entries[j]) == (inner[i] < inner[j])
+                        assert (w[i] < w[j]) == (inner[i] < inner[j])
 
     @given(perm_with_params())
     def test_result_is_valid_permutation(self, case):
         w, a, b = case
         lifted = phi(w, a, b)
         # phi builds its result unchecked, so check that it is a permutation
-        assert Permutation(lifted.entries) == lifted
+        assert Permutation(lifted) == lifted
         assert lifted.n == w.n + 2
 
     def test_result_over_the_size_bound_rejected(self):
@@ -102,16 +102,16 @@ class TestTheta:
         # theta builds its result unvalidated; the constructor agrees
         for w in iterate_sn(n):
             projected = theta(w)
-            assert Permutation(projected.entries) == projected
+            assert Permutation(projected) == projected
 
     def test_preserves_interior_order_exhaustive_s5(self):
         for w in iterate_sn(5):
             projected = theta(w)
-            inner = w.entries[1:-1]
+            inner = w[1:-1]
             for i in range(3):
                 for j in range(i + 1, 3):
                     assert (inner[i] < inner[j]) == (
-                        projected.entries[i] < projected.entries[j]
+                        projected[i] < projected[j]
                     )
 
 
@@ -148,9 +148,9 @@ class TestPartitionOfLiftImages:
         total = 0
         for w in iterate_sn(n):
             for a, b in valid_lift_params(n):
-                images.add(phi(w, a, b).entries)
+                images.add(phi(w, a, b))
                 total += 1
-        everything = {w.entries for w in iterate_sn(n + 2)}
+        everything = set(iterate_sn(n + 2))
         assert total == len(images)  # injective across parameters and sources
         assert images == everything  # and surjective
 

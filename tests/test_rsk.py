@@ -98,7 +98,7 @@ class TestRowInsert:
     def test_bump_path_rows_strictly_increase(self):
         for w in iterate_sn(5):
             grid = []
-            for x in w.entries:
+            for x in w:
                 out = row_insert(grid, x)
                 path_rows = [cell.row for cell in out.bump_path]
                 assert path_rows == sorted(set(path_rows))
@@ -108,7 +108,7 @@ class TestRowInsert:
     def test_bump_path_carries_each_bumped_value_down(self):
         for w in iterate_sn(5):
             grid = ()
-            for x in w.entries:
+            for x in w:
                 out = row_insert(grid, x)
                 carried = x
                 for cell in out.bump_path:
@@ -121,9 +121,9 @@ class TestRowInsert:
         # inserting the last letter into P of the rest gives P of the word
         for n in range(1, 7):
             for w in iterate_sn(n):
-                grid, _ = naive_insertion_pair(w.entries[:-1])
-                out = row_insert(grid, w.entries[-1])
-                assert out.rows == naive_insertion_pair(w.entries)[0]
+                grid, _ = naive_insertion_pair(w[:-1])
+                out = row_insert(grid, w[-1])
+                assert out.rows == naive_insertion_pair(w)[0]
 
 
 class TestRsk:
@@ -142,8 +142,8 @@ class TestRsk:
     def test_derived_example_12543(self):
         pair = rsk(Permutation.parse("12543"))
         p_rows, q_rows = naive_insertion_pair([1, 2, 5, 4, 3])
-        assert pair.p.rows == p_rows == ((1, 2, 3), (4,), (5,))
-        assert pair.q.rows == q_rows == ((1, 2, 3), (4,), (5,))
+        assert pair.p == p_rows == ((1, 2, 3), (4,), (5,))
+        assert pair.q == q_rows == ((1, 2, 3), (4,), (5,))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
@@ -155,21 +155,21 @@ class TestRsk:
                 pair = rsk(w)
                 assert pair.p.shape == pair.q.shape
                 # rsk builds its tableaux unvalidated; the constructor agrees
-                assert StandardYoungTableau(pair.p.rows) == pair.p
-                assert StandardYoungTableau(pair.q.rows) == pair.q
+                assert StandardYoungTableau(pair.p) == pair.p
+                assert StandardYoungTableau(pair.q) == pair.q
 
     def test_against_independent_reimplementation_exhaustive(self):
         for w in iterate_sn(5):
             pair = rsk(w)
-            p_rows, q_rows = naive_insertion_pair(w.entries)
-            assert pair.p.rows == p_rows
-            assert pair.q.rows == q_rows
+            p_rows, q_rows = naive_insertion_pair(w)
+            assert pair.p == p_rows
+            assert pair.q == q_rows
 
     @given(perms(max_size=16))
     def test_against_independent_reimplementation_random(self, w):
         pair = rsk(w)
-        p_rows, q_rows = naive_insertion_pair(w.entries)
-        assert (pair.p.rows, pair.q.rows) == (p_rows, q_rows)
+        p_rows, q_rows = naive_insertion_pair(w)
+        assert (pair.p, pair.q) == (p_rows, q_rows)
 
     def test_reverse_transposes_insertion_tableau_exhaustive(self):
         for n in range(1, 8):
@@ -210,7 +210,7 @@ class TestInverseRsk:
 class TestRecordingHelpers:
     def test_recording_cells_match_q(self):
         for w in iterate_sn(4):
-            cells = recording_cells(w.entries)
+            cells = recording_cells(w)
             q = rsk(w).q
             assert [q.cell_of(i) for i in range(1, w.n + 1)] == cells
 
@@ -218,15 +218,15 @@ class TestRecordingHelpers:
         for n in range(1, 7):
             for w in iterate_sn(n):
                 expected = rsk(w).q == rsk(w.reverse()).q
-                assert same_recording_tableau(w.entries, w.entries[::-1]) == expected
+                assert same_recording_tableau(w, w[::-1]) == expected
 
     @given(perms(max_size=10), st.randoms())
     def test_same_recording_tableau_matches_full_comparison_random_pairs(self, w, rng):
-        shuffled = list(w.entries)
+        shuffled = list(w)
         rng.shuffle(shuffled)
         v = Permutation(shuffled)
         expected = rsk(w).q == rsk(v).q
-        assert same_recording_tableau(w.entries, v.entries) == expected
+        assert same_recording_tableau(w, v) == expected
 
 
 def recording_cells_of(word):
@@ -249,7 +249,7 @@ def check_every_split(u, v):
 class TestResumedComparison:
     def test_every_split_of_every_reversal_pair_exhaustive(self):
         for w in iterate_sn(7):
-            check_every_split(w.entries, w.entries[::-1])
+            check_every_split(w, w[::-1])
 
     def test_every_split_of_random_pairs(self):
         rng = random.Random(27)
@@ -267,7 +267,7 @@ class TestResumedComparison:
 
     def test_default_start_is_empty_rows(self):
         for w in iterate_sn(6):
-            u, v = w.entries, w.entries[::-1]
+            u, v = w, w[::-1]
             expected = rsk(w).q == rsk(w.reverse()).q
             assert same_recording_tableau(u, v) == expected
             assert same_recording_tableau(u, v, start=((), ())) == expected
@@ -280,5 +280,5 @@ class TestLongestMonotone:
     def test_brute_force_oracle_exhaustive(self, n):
         for w in iterate_sn(n):
             q_shape = rsk(w).q.shape
-            assert brute_force_longest_monotone(w.entries) == q_shape[0]
-            assert brute_force_longest_monotone(w.entries, decreasing=True) == len(q_shape)
+            assert brute_force_longest_monotone(w) == q_shape[0]
+            assert brute_force_longest_monotone(w, decreasing=True) == len(q_shape)

@@ -53,7 +53,7 @@ def syt_strategy(max_size=9):
 
 class TestShape:
     def test_valid(self):
-        assert Shape([3, 1, 1]).parts == (3, 1, 1)
+        assert Shape([3, 1, 1]) == (3, 1, 1)
         assert Shape([]).size == 0
         assert Shape([2, 2, 1]).size == 5
 
@@ -73,7 +73,7 @@ class TestShape:
         # count column heights directly off the diagram
         parts = (3, 3, 1)
         columns = [sum(1 for p in parts if p > j) for j in range(parts[0])]
-        assert Shape(parts).conjugate().parts == tuple(columns) == (3, 2, 2)
+        assert Shape(parts).conjugate() == tuple(columns) == (3, 2, 2)
 
     def test_conjugate_row_column_duality(self):
         assert Shape([4]).conjugate() == Shape([1, 1, 1, 1])
@@ -132,7 +132,7 @@ class TestPartitions:
     def test_counts(self, n, count):
         shapes = list(partitions(n))
         assert len(shapes) == count
-        assert len(set(s.parts for s in shapes)) == count
+        assert len(set(shapes)) == count
         assert all(s.size == n for s in shapes)
 
 
@@ -202,9 +202,9 @@ class TestTranspose:
             for shape in partitions(n):
                 for t in enumerate_syt(shape):
                     transposed = t.transpose()
-                    assert StandardYoungTableau(transposed.rows) == transposed
+                    assert StandardYoungTableau(transposed) == transposed
                     assert transposed.transpose() == t
-                    assert transposed.shape == Shape(t.shape.conjugate().parts)
+                    assert transposed.shape == Shape(t.shape.conjugate())
 
     @given(syt_strategy())
     def test_involution_random(self, t):
@@ -230,7 +230,7 @@ class TestEnumerateSyt:
         oracle = brute_force_syt(parts)
         got = enumerate_syt(Shape(parts))
         assert len(got) == len(oracle)
-        assert {t.rows for t in got} == {
+        assert set(got) == {
             tuple(tuple(row) for row in rows) for rows in oracle
         }
 
@@ -242,7 +242,7 @@ class TestEnumerateSyt:
     def test_no_duplicates_size_eight(self):
         for shape in partitions(8):
             tableaux = enumerate_syt(shape)
-            assert len({t.rows for t in tableaux}) == len(tableaux)
+            assert len(set(tableaux)) == len(tableaux)
 
 
 class TestCountSyt:
@@ -266,5 +266,5 @@ class TestCountSyt:
                 assert count_syt(shape) == len(tableaux)
                 # enumerate_syt builds its tableaux unvalidated
                 for t in tableaux:
-                    assert StandardYoungTableau(t.rows) == t
+                    assert StandardYoungTableau(t) == t
                     assert t.shape == shape
