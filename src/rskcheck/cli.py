@@ -8,12 +8,15 @@ limit), 3 when a pool worker process dies, 130 when interrupted
 (Ctrl-C), 141 when the reader of stdout has closed it, as in
 `rskcheck verify ... | head -1`; the last is silent. On a failed write, 3
 and 130, `verify` keeps the reports that finished, on stdout and in its
-report file; after a failed write nothing more goes to stdout.
+report file; after a failed write nothing more goes to stdout. A usage
+error is reported as one, exit 2 and its one error line, even when its
+`--json` error object cannot be written to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -315,6 +318,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _settle_stdout() -> None:
+    """Flush stdout. A buffered stdout keeps what a failed write left, so
+    its flush fails again; then fd 1 is pointed at the null device, and the
+    flush at exit has nothing to fail on."""
+    try:
+        sys.stdout.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -324,9 +337,12 @@ def main(argv: list[str] | None = None) -> int:
                 enumeration._check_workers(args.workers)
             return args.func(args)
         except ValueError as exc:
-            if getattr(args, "json", False):
-                print(json.dumps({"error": str(exc)}, separators=(",", ":")))
+            # A usage error is the one error reported, even if stdout fails.
+            with contextlib.suppress(OSError):
+                if getattr(args, "json", False):
+                    print(json.dumps({"error": str(exc)}, separators=(",", ":")))
             print(f"error: {exc}", file=sys.stderr)
+            _settle_stdout()
             return USAGE_ERROR
         except ChildProcessError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -338,13 +354,13 @@ def main(argv: list[str] | None = None) -> int:
             # Output for a closed stdout fails here, not at interpreter exit.
             sys.stdout.flush()
     except BrokenPipeError:
-        # With fd 1 on the null device, the flush at exit has nothing to fail on.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _settle_stdout()
         return PIPE_CLOSED
     except OSError as exc:
         # A failed write to stdout or the report file, as on a full disk, or
         # another failed system call. ChildProcessError, an OSError too, was
         # handled above.
+        _settle_stdout()
         print(f"error: {exc.strerror or exc}", file=sys.stderr)
         return USAGE_ERROR
 

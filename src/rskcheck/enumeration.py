@@ -5,10 +5,12 @@ R_n is listed by one pruned search, `_reverse_stable`: it builds each
 word from both ends, inserts in lockstep, and drops a subtree at the
 first recording step that differs. Each task keeps its insertion steps
 in a table, so a step is worked out once and undone for free. Every
-word it completes is judged by the definitional `same_recording_tableau`,
-which goes on from the search's own insertion rows through the steps
-the search has not compared. Its members are sorted, so they come out
-in rank order.
+word it completes is judged by the definitional `same_recording_tableau`
+in the loop of the last depth that completes it; the judgement goes on
+from the search's own insertion rows through the steps the search has
+not compared. Those rows, which only the judgement reads, are kept as
+`_insert` built them and get no place in the table. Its members are
+sorted, so they come out in rank order.
 
 H_n and C_n, whose recording tableaux are the symmetric hooks and those
 of them with the first-row property, are not searched: by the RSK
@@ -169,16 +171,21 @@ def _reverse_stable(task: tuple[int, int, int]) -> list[tuple[int, ...]]:
     forced.
 
     The rows are kept in a step table that lives as long as the task.
-    Each distinct row state gets an int id when it is first made, and
-    steps[id][x] holds the id after bumping x, with the new cell; _insert
-    works a step out the first time it is needed. So a node looks up the
-    reverse rows' cell of each free letter once, not once for every w_k,
-    and undoing a step is going back to the parent's id.
+    Each distinct row state of fewer than n//2 letters gets an int id when
+    it is first made, and steps[id][x] holds the id after bumping x, with
+    the new cell; _insert works a step out the first time it is needed. So
+    a node looks up the reverse rows' cell of each free letter once, not
+    once for every w_k, and undoing a step is going back to the parent's
+    id. The rows of n//2 letters, made at the last depth, are read only by
+    the leaf, so they get no id: their parent's steps hold the grid that
+    _insert built.
 
-    Every completed word is judged by same_recording_tableau, the module
-    global at the time of the search. It is given steps n//2+1..n of w
-    and of w^r and starts from the two rows the search holds, whose steps
-    1..n//2 the search has compared.
+    The last depth, n//2 - 1, judges each word it completes in its own
+    loop, by same_recording_tableau, the module global at the time of the
+    search. It is given steps n//2+1..n of w and of w^r and starts from the
+    two rows the search holds, whose steps 1..n//2 the search has compared.
+    For n = 2 and 3 the search has no depth, and the one word is judged
+    from the rows of its end letters.
 
     Q(w) = Q(w^r) is symmetric in w and w^r, and so is the search: step k
     compares the same two cells for both. So each member is recorded
@@ -189,12 +196,20 @@ def _reverse_stable(task: tuple[int, int, int]) -> list[tuple[int, ...]]:
     half = n // 2
     w = [0] * n
     w[0], w[-1] = first, last
+    free = tuple(a for a in range(1, n + 1) if a not in (first, last))
+    # The leaf compares w[half:] with w[cut::-1], the tails of w and w^r.
+    cut, odd = n - 1 - half, n % 2
     found = []
+    if half == 1:
+        w[1:-1] = free
+        if same_recording_tableau(w[half:], w[cut::-1], start=([[first]], [[last]])):
+            found.extend((tuple(w), tuple(w[::-1])))
+        return found
     # The step table: state ids by rows, the rows of each id, and its
     # steps; id 0 is the empty rows.
     ids: dict[tuple[tuple[int, ...], ...], int] = {(): 0}
     rows: list[tuple[tuple[int, ...], ...]] = [()]
-    steps: list[dict[int, tuple[int, tuple[int, int]]]] = [{}]
+    steps: list[dict[int, tuple]] = [{}]
 
     def step(i: int, x: int) -> tuple[int, tuple[int, int]]:
         grid = [list(row) for row in rows[i]]
@@ -207,26 +222,34 @@ def _reverse_stable(task: tuple[int, int, int]) -> list[tuple[int, ...]]:
         steps[i][x] = made = j, cell
         return made
 
+    def grow(i: int, x: int) -> tuple[list[list[int]], tuple[int, int]]:
+        grid = [list(row) for row in rows[i]]
+        steps[i][x] = made = grid, _insert(grid, x)
+        return made
+
     def extend(k: int, free: tuple[int, ...], front: int, back: int) -> None:
-        if k == half:
-            if free:
-                w[half] = free[0]
-            tails = w[half:], w[n - 1 - half :: -1]
-            if same_recording_tableau(*tails, start=(rows[front], rows[back])):
-                found.extend((tuple(w), tuple(w[::-1])))
-            return
+        # At the last depth each matching pair completes a word. free then
+        # holds two letters for even n, and for odd n three, of which the
+        # middle letter is the one that is neither free[i] nor free[j].
+        final = k == half - 1
+        make = grow if final else step
         ahead, behind = steps[front], steps[back]
-        backs = [behind.get(b) or step(back, b) for b in free]
+        backs = [behind.get(b) or make(back, b) for b in free]
         for i, a in enumerate(free):
             w[k] = a
-            after, cell = ahead.get(a) or step(front, a)
+            after, cell = ahead.get(a) or make(front, a)
             for j, (before, back_cell) in enumerate(backs):
                 if back_cell == cell and j != i:
                     w[n - 1 - k] = free[j]
-                    lo, hi = sorted((i, j))
-                    extend(k + 1, free[:lo] + free[lo + 1 : hi] + free[hi + 1 :], after, before)
+                    if not final:
+                        lo, hi = sorted((i, j))
+                        extend(k + 1, free[:lo] + free[lo + 1 : hi] + free[hi + 1 :], after, before)
+                        continue
+                    if odd:
+                        w[half] = free[3 - i - j]
+                    if same_recording_tableau(w[half:], w[cut::-1], start=(after, before)):
+                        found.extend((tuple(w), tuple(w[::-1])))
 
-    free = tuple(a for a in range(1, n + 1) if a not in (first, last))
     extend(1, free, step(0, first)[0], step(0, last)[0])
     # extend refers to itself: break that cycle, so the table goes now.
     del extend

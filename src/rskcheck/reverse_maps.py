@@ -38,17 +38,19 @@ def phi(w: Permutation, a: int, b: int) -> Permutation:
     c = min(a, b) and d = max(a, b), entries below c are kept, entries in
     [c, d-1) move up one, and entries >= d-1 move up two.
     """
-    m = w.n + 2
-    for name, value in (("a", a), ("b", b)):
-        # The lift is built unchecked, so a value that is no integer stops here.
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"parameter {name}={value!r} is not an integer")
-        if not 1 <= value <= m:
-            raise ValueError(f"parameter {name}={value} outside [1, {m}]")
-    if a == b:
-        raise ValueError(f"parameters must differ, got a = b = {a}")
-    if m > MAX_SIZE:
-        raise ValueError(f"size {m} exceeds the supported maximum {MAX_SIZE}")
+    m = len(w) + 2
+    # One test passes every valid call; only a failed one looks for the error.
+    if not (type(a) is type(b) is int and 1 <= a <= m and 1 <= b <= m and a != b and m <= MAX_SIZE):
+        for name, value in (("a", a), ("b", b)):
+            # The lift is built unchecked, so a value that is no integer stops here.
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"parameter {name}={value!r} is not an integer")
+            if not 1 <= value <= m:
+                raise ValueError(f"parameter {name}={value} outside [1, {m}]")
+        if a == b:
+            raise ValueError(f"parameters must differ, got a = b = {a}")
+        if m > MAX_SIZE:
+            raise ValueError(f"size {m} exceeds the supported maximum {MAX_SIZE}")
     c, d = (a, b) if a < b else (b, a)
     out = [a]
     for v in w:
@@ -70,8 +72,8 @@ def theta(w: Permutation) -> Permutation:
     and d, or above d. All relative orders among interior entries are
     preserved, and theta(phi(w, a, b)) = w for every valid (a, b).
     """
-    if w.n < 3:
-        raise ValueError(f"requires size at least 3, got {w.n}")
+    if len(w) < 3:
+        raise ValueError(f"requires size at least 3, got {len(w)}")
     first, last = w[0], w[-1]
     c, d = (first, last) if first < last else (last, first)
     out = []

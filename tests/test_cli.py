@@ -777,14 +777,26 @@ class TestWriteErrors:
             assert [line.split()[:3] for line in printed] == [["PASS", "count_R", "n=1"]]
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
-    def test_full_device_leaves_no_traceback(self):
-        # A whole process: no traceback, and no other exit code at its end.
-        with open("/dev/full", "w") as full:
-            result = subprocess.run(
-                [sys.executable, "-m", "rskcheck", "rsk", "123"],
-                stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
-            )
-        assert (result.returncode, result.stderr) == (2, self.FULL)
+    def test_full_device_leaves_no_traceback(self, tmp_path):
+        # Whole processes: no traceback, and no other exit code at their end,
+        # whether stdout writes through or holds its output in a buffer.
+        out = ["--out", str(tmp_path / "r.jsonl")]
+        cases = [
+            (["rsk", "123"], self.FULL),
+            (["rsk", "2", "1", "--json"], self.FULL),
+            (["verify", "--count", "--n-max", "2", "--json", *out], self.FULL),
+            # The usage error is the one reported, though its JSON fails too.
+            (["rsk", "1", "1", "--json"], "error: duplicate value 1 at position 2\n"),
+        ]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+            for argv, stderr in cases:
+                with open("/dev/full", "w") as full:
+                    result = subprocess.run(
+                        [sys.executable, "-m", "rskcheck", *argv], stdout=full,
+                        stderr=subprocess.PIPE, text=True, timeout=60, env={**env, **unbuffered},
+                    )
+                assert (result.returncode, result.stderr) == (2, stderr), (argv, unbuffered)
 
 
 class TestErrorPaths:

@@ -2,6 +2,7 @@ import functools
 import json
 import os
 import re
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -165,6 +166,24 @@ def brute_force_R(n):
     return [w for w in iterate_sn(n) if is_in_R(w)]
 
 
+def bumped(letters):
+    """The insertion rows of a word of distinct letters, and the cell each
+    letter made, by the bump rule written out."""
+    rows, cells = [], []
+    for x in letters:
+        for r, row in enumerate(rows):
+            larger = [c for c, y in enumerate(row) if y > x]
+            if not larger:
+                row.append(x)
+                cells.append((r, len(row) - 1))
+                break
+            row[larger[0]], x = x, row[larger[0]]
+        else:
+            rows.append([x])
+            cells.append((len(rows) - 1, 0))
+    return rows, cells
+
+
 class TestPrunedSweepAgainstBruteForce:
     @pytest.mark.parametrize("workers", [1, 2, 8])
     @pytest.mark.parametrize("n", range(1, 10))
@@ -192,6 +211,31 @@ class TestPrunedSweepAgainstBruteForce:
         # a search of both orders would complete 40,320 words
         assert len(set(judged)) == len(judged) == 20160
         assert all(w[0] < w[-1] for w in judged)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_leaf_starts_from_the_rows_of_both_ends(self, monkeypatch, n):
+        half = n // 2
+        judged = []
+        real = enumeration.same_recording_tableau
+
+        def leaf(u, v, *, start):
+            w = (*v[::-1], *u[len(u) - half :])
+            judged.append(w)
+            # The rows of w's first half letters, and of w^r's.
+            assert [list(row) for row in start[0]] == bumped(w[:half])[0]
+            assert [list(row) for row in start[1]] == bumped(w[::-1][:half])[0]
+            return real(u, v, start=start)
+
+        monkeypatch.setattr(enumeration, "same_recording_tableau", leaf)
+        assert count_R(n) == count_R_formula(n)
+        # Completed: steps 1..half of Q(w) and Q(w^r) agree. Judged: one word
+        # of each such reversal pair, the one with w_1 < w_n.
+        cells = functools.cache(lambda letters: bumped(letters)[1])
+        completed = [
+            w for w in permutations(range(1, n + 1))
+            if w[0] < w[-1] and cells(w[:half]) == cells(w[: -half - 1 : -1])
+        ]
+        assert sorted(judged) == completed
 
 
 def brute_force_characterized(n):
