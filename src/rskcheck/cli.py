@@ -10,13 +10,13 @@ limit), 3 when a pool worker process dies, 130 when interrupted
 and 130, `verify` keeps the reports that finished, on stdout and in its
 report file; after a failed write nothing more goes to stdout. A usage
 error is reported as one, exit 2 and its one error line, even when its
-`--json` error object cannot be written to stdout.
+`--json` error object cannot be written to stdout, unless the reader of
+stdout has closed it: that is 141 and silent, as above.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
@@ -337,12 +337,17 @@ def main(argv: list[str] | None = None) -> int:
                 enumeration._check_workers(args.workers)
             return args.func(args)
         except ValueError as exc:
-            # A usage error is the one error reported, even if stdout fails.
-            with contextlib.suppress(OSError):
-                if getattr(args, "json", False):
+            if getattr(args, "json", False):
+                try:
                     print(json.dumps({"error": str(exc)}, separators=(",", ":")))
+                    sys.stdout.flush()
+                except BrokenPipeError:
+                    raise
+                except OSError:
+                    # A usage error is the one error reported, even if its
+                    # JSON cannot be written; a closed stdout is still 141.
+                    _settle_stdout()
             print(f"error: {exc}", file=sys.stderr)
-            _settle_stdout()
             return USAGE_ERROR
         except ChildProcessError as exc:
             print(f"error: {exc}", file=sys.stderr)

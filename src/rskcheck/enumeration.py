@@ -8,9 +8,7 @@ in a table, so a step is worked out once and undone for free. Every
 word it completes is judged by the definitional `same_recording_tableau`
 in the loop of the last depth that completes it; the judgement goes on
 from the search's own insertion rows through the steps the search has
-not compared. Those rows, which only the judgement reads, are kept as
-`_insert` built them and get no place in the table. Its members are
-sorted, so they come out in rank order.
+not compared. Its members are sorted, so they come out in rank order.
 
 H_n and C_n, whose recording tableaux are the symmetric hooks and those
 of them with the first-row property, are not searched: by the RSK
@@ -171,14 +169,11 @@ def _reverse_stable(task: tuple[int, int, int]) -> list[tuple[int, ...]]:
     forced.
 
     The rows are kept in a step table that lives as long as the task.
-    Each distinct row state of fewer than n//2 letters gets an int id when
-    it is first made, and steps[id][x] holds the id after bumping x, with
-    the new cell; _insert works a step out the first time it is needed. So
-    a node looks up the reverse rows' cell of each free letter once, not
-    once for every w_k, and undoing a step is going back to the parent's
-    id. The rows of n//2 letters, made at the last depth, are read only by
-    the leaf, so they get no id: their parent's steps hold the grid that
-    _insert built.
+    Each distinct row state gets an int id when it is first made, and
+    steps[id][x] holds the id after bumping x, with the new cell; _insert
+    works a step out the first time it is needed. So a node looks up the
+    reverse rows' cell of each free letter once, not once for every w_k,
+    and undoing a step is going back to the parent's id.
 
     The last depth, n//2 - 1, judges each word it completes in its own
     loop, by same_recording_tableau, the module global at the time of the
@@ -209,7 +204,7 @@ def _reverse_stable(task: tuple[int, int, int]) -> list[tuple[int, ...]]:
     # steps; id 0 is the empty rows.
     ids: dict[tuple[tuple[int, ...], ...], int] = {(): 0}
     rows: list[tuple[tuple[int, ...], ...]] = [()]
-    steps: list[dict[int, tuple]] = [{}]
+    steps: list[dict[int, tuple[int, tuple[int, int]]]] = [{}]
 
     def step(i: int, x: int) -> tuple[int, tuple[int, int]]:
         grid = [list(row) for row in rows[i]]
@@ -222,22 +217,16 @@ def _reverse_stable(task: tuple[int, int, int]) -> list[tuple[int, ...]]:
         steps[i][x] = made = j, cell
         return made
 
-    def grow(i: int, x: int) -> tuple[list[list[int]], tuple[int, int]]:
-        grid = [list(row) for row in rows[i]]
-        steps[i][x] = made = grid, _insert(grid, x)
-        return made
-
     def extend(k: int, free: tuple[int, ...], front: int, back: int) -> None:
         # At the last depth each matching pair completes a word. free then
         # holds two letters for even n, and for odd n three, of which the
         # middle letter is the one that is neither free[i] nor free[j].
         final = k == half - 1
-        make = grow if final else step
         ahead, behind = steps[front], steps[back]
-        backs = [behind.get(b) or make(back, b) for b in free]
+        backs = [behind.get(b) or step(back, b) for b in free]
         for i, a in enumerate(free):
             w[k] = a
-            after, cell = ahead.get(a) or make(front, a)
+            after, cell = ahead.get(a) or step(front, a)
             for j, (before, back_cell) in enumerate(backs):
                 if back_cell == cell and j != i:
                     w[n - 1 - k] = free[j]
@@ -247,7 +236,7 @@ def _reverse_stable(task: tuple[int, int, int]) -> list[tuple[int, ...]]:
                         continue
                     if odd:
                         w[half] = free[3 - i - j]
-                    if same_recording_tableau(w[half:], w[cut::-1], start=(after, before)):
+                    if same_recording_tableau(w[half:], w[cut::-1], start=(rows[after], rows[before])):
                         found.extend((tuple(w), tuple(w[::-1])))
 
     extend(1, free, step(0, first)[0], step(0, last)[0])

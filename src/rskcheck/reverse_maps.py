@@ -39,18 +39,16 @@ def phi(w: Permutation, a: int, b: int) -> Permutation:
     [c, d-1) move up one, and entries >= d-1 move up two.
     """
     m = len(w) + 2
-    # One test passes every valid call; only a failed one looks for the error.
-    if not (type(a) is type(b) is int and 1 <= a <= m and 1 <= b <= m and a != b and m <= MAX_SIZE):
-        for name, value in (("a", a), ("b", b)):
-            # The lift is built unchecked, so a value that is no integer stops here.
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"parameter {name}={value!r} is not an integer")
-            if not 1 <= value <= m:
-                raise ValueError(f"parameter {name}={value} outside [1, {m}]")
-        if a == b:
-            raise ValueError(f"parameters must differ, got a = b = {a}")
-        if m > MAX_SIZE:
-            raise ValueError(f"size {m} exceeds the supported maximum {MAX_SIZE}")
+    for name, value in (("a", a), ("b", b)):
+        # The lift is built unchecked, so a value that is no integer stops here.
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"parameter {name}={value!r} is not an integer")
+        if not 1 <= value <= m:
+            raise ValueError(f"parameter {name}={value} outside [1, {m}]")
+    if a == b:
+        raise ValueError(f"parameters must differ, got a = b = {a}")
+    if m > MAX_SIZE:
+        raise ValueError(f"size {m} exceeds the supported maximum {MAX_SIZE}")
     c, d = (a, b) if a < b else (b, a)
     out = [a]
     for v in w:

@@ -706,6 +706,22 @@ time.sleep(3)
             proc.wait()
             proc.stderr.close()
 
+    def test_usage_error_on_closed_stdout_exits_141_quietly(self):
+        # The usage error's JSON meets a pipe with no reader: 141 and silent,
+        # whether stdout writes through or holds its output in a buffer.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                result = subprocess.run(
+                    [sys.executable, "-m", "rskcheck", "rsk", "1", "1", "--json"], stdout=write,
+                    stderr=subprocess.PIPE, text=True, timeout=60, env={**env, **unbuffered},
+                )
+            finally:
+                os.close(write)
+            assert (result.returncode, result.stderr) == (cli.PIPE_CLOSED, ""), unbuffered
+
 
 class FullDisk:
     """A text file that takes `room` writes and refuses each one after them
