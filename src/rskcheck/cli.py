@@ -302,11 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.set_defaults(func=_cmd_enumerate)
 
     p_verify = sub.add_parser("verify", help="run exhaustive verification sweeps")
-    p_verify.add_argument("--count", action="store_true", help="exhaustive counts vs the closed form")
-    p_verify.add_argument("--characterization", action="store_true")
-    p_verify.add_argument("--symmetry", action="store_true")
-    p_verify.add_argument("--phi-theta", dest="phi_theta", action="store_true")
-    p_verify.add_argument("--transport", action="store_true")
+    for suite in enumeration.SUITES:
+        about = "exhaustive counts vs the closed form" if suite == "count" else None
+        p_verify.add_argument("--" + suite.replace("_", "-"), action="store_true", help=about)
     p_verify.add_argument("--all", action="store_true", help="run every suite (default)")
     p_verify.add_argument("--n-max", dest="n_max", type=int, required=True)
     p_verify.add_argument("--workers", type=int, default=1)

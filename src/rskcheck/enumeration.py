@@ -33,12 +33,15 @@ a < b; each searches the words with w_1 = a and w_n = b and adds the
 reverse of every member it finds. The tasks and their order do not
 depend on the worker count, so no result does either.
 
-`verify` plans a verification run, and every public entry point that
-searches or scans is a plan of one claim; `verify` describes how a plan
-checks its ranges, shares R_n and runs its tasks. A plan derives each
-claim's tasks once, in its task table, and runs that table's tasks in
-this process or on its pool, so the two paths run the same tasks, and
-each of them once per plan.
+Each verification suite is one record of the table `_suites()`: its
+check name, its n! scan or the R_{n+lift} it reads, its lift, its cap,
+its verdict and its closed form. `verify` plans a verification run from
+that table, and every public entry point that searches or scans is a
+plan of one claim; `verify` describes how a plan checks its ranges,
+shares R_n and runs its tasks. A plan derives each claim's tasks once,
+in its task table, and runs that table's tasks in this process or on
+its pool, so the two paths run the same tasks, and each of them once per
+plan.
 """
 
 from __future__ import annotations
@@ -84,21 +87,6 @@ DEFAULT_MAX_LIST_N = 8
 SYMMETRY_MAX_N = 7
 PHI_THETA_MAX_N = 6
 
-
-def _scan_caps() -> dict[str, int]:
-    # Built at each call, not at import, so a cap set on the module later holds.
-    return {"symmetry": SYMMETRY_MAX_N, "phi_theta": PHI_THETA_MAX_N}
-
-
-# Each suite, in run order, with the check name of its reports.
-_CHECKS = {
-    "count": "count_R",
-    "characterization": "characterization",
-    "symmetry": "symmetry_relations",
-    "phi_theta": "phi_theta",
-    "transport": "r_transport",
-}
-SUITES = tuple(_CHECKS)
 
 _REPORT_FIELDS = "check n observed expected formula passed elapsed_ms workers detail"
 
@@ -582,11 +570,40 @@ def _transport(members: list[tuple[int, ...]]) -> tuple[bool, str]:
     return True, f"checked {len(members)} members"
 
 
+# One suite: the check name of its reports; the n! scan that is its one
+# task, or None when it reads R_{n+lift}; lift, how far above n the group
+# it scans or the R it reads is; the scan's cap; its verdict, (observed,
+# detail) from n and what it read; and the closed form that observed must
+# equal, or None when it must be True.
+_Suite = namedtuple("_Suite", "check scan lift cap verdict formula", defaults=(None,))
+
+
+def _suites() -> dict[str, _Suite]:
+    """Each suite by name, in run order. Built at each call, not at import,
+    so a cap or a function set on the module later holds."""
+
+    def no_failure(n: int, failure: str | None) -> tuple[bool, str | None]:
+        return failure is None, failure
+
+    return {
+        "count": _Suite("count_R", None, 0, None, lambda n, r: (len(r), None), count_R_formula),
+        "characterization": _Suite("characterization", None, 0, None, _characterization),
+        "symmetry": _Suite("symmetry_relations", _relations_failure, 0, SYMMETRY_MAX_N, no_failure),
+        "phi_theta": _Suite("phi_theta", _phi_theta_failure, 2, PHI_THETA_MAX_N, no_failure),
+        "transport": _Suite("r_transport", None, 2, None, lambda n, r: _transport(r)),
+    }
+
+
+SUITES = tuple(_suites())
+
+
 class _Plan(list):
     """A planned run, as `verify` describes it: the list of its claims,
     each of which checks and reports when called, with the one pool that
     runs their tasks and one memo of R_n. It is made from (suite, n) pairs,
-    and checks every range and the worker count before any claim runs. Each
+    and checks every range and the worker count before any claim runs. The
+    suite table, `suites`, read once when the plan is made, gives every
+    claim its range check, its tasks, its verdict and its check name. Each
     task is a function and its argument; `queued` holds them in the order
     the pool takes them, and a task's number is its place there. The task
     table, `tasks`, is the one place a claim's tasks are derived: it gives
@@ -599,20 +616,21 @@ class _Plan(list):
     def __init__(
         self, claims: list[tuple[str, int]], workers: int, max_n: int = DEFAULT_MAX_COUNT_N
     ) -> None:
-        caps = _scan_caps()
+        self.suites = suites = _suites()
         built = set()  # the size of each R_n that a claim takes its members from
         for suite, n in claims:
-            if suite in caps and not 1 <= n <= caps[suite]:
-                raise ValueError(f"n={n} outside the supported range [1, {caps[suite]}]")
-            if suite == "transport" and n < 1:
+            record = suites[suite]
+            if record.scan and not 1 <= n <= record.cap:
+                raise ValueError(f"n={n} outside the supported range [1, {record.cap}]")
+            if record.lift and n < 1:  # R_{n+lift} may be in range when n is not
                 raise ValueError(f"size must be positive, got {n}")
-            if suite not in caps:
-                built.add(n + 2 if suite == "transport" else n)
+            if not record.scan:
+                built.add(n + record.lift)
         # Each n! claim whole, the largest symmetric group scanned first
         # (phi/theta at n scans S_{n+2}), and then the pair tasks of each R_n.
-        scans = {"symmetry": (_relations_failure, 0), "phi_theta": (_phi_theta_failure, 2)}
-        whole = sorted((c for c in claims if c[0] in scans), key=lambda c: -c[1] - scans[c[0]][1])
-        self.queued = [(scans[suite][0], n) for suite, n in whole]
+        whole = [(suite, n) for suite, n in claims if suites[suite].scan]
+        whole.sort(key=lambda claim: -claim[1] - suites[claim[0]].lift)
+        self.queued = [(suites[suite].scan, n) for suite, n in whole]
         self.tasks = {claim: range(i, i + 1) for i, claim in enumerate(whole)}
         for n in sorted(built):
             _check_count_range(n, max_n)
@@ -629,25 +647,22 @@ class _Plan(list):
         super().__init__(partial(self._claim, suite, n) for suite, n in claims)
 
     def _claim(self, suite: str, n: int) -> VerificationReport:
-        """Check one claim and report it, timed by the plan's clock. A count
-        passes when it equals its closed form, and any other claim when it
-        observes True; an n! scan observes True when it finds no failure."""
+        """Check one claim and report it, timed by the plan's clock: its
+        suite's verdict reads the claim's scan result or R_{n+lift}. A claim
+        passes when it observes its suite's closed form, or True when the
+        suite has none; an n! scan observes True when it finds no failure."""
         try:
             self.start()
             started = self.clock()
-            formula = detail = None
-            if suite == "count":
-                observed, formula = len(self.members(n)), count_R_formula(n)
-            elif suite == "characterization":
-                observed, detail = _characterization(n, self.members(n))
-            elif suite == "transport":
-                observed, detail = _transport(self.members(n + 2))
+            record = self.suites[suite]
+            if record.scan:
+                observed, detail = record.verdict(n, self.results((suite, n))[0])
             else:
-                detail = self.results((suite, n))[0]
-                observed = detail is None
+                observed, detail = record.verdict(n, self.members(n + record.lift))
+            formula = record.formula(n) if record.formula else None
             expected = True if formula is None else formula
             return VerificationReport(
-                check=_CHECKS[suite], n=n, observed=observed, expected=expected, formula=formula,
+                check=record.check, n=n, observed=observed, expected=expected, formula=formula,
                 passed=observed == expected, elapsed_ms=int((self.clock() - started) * 1000),
                 workers=self.workers, detail=detail,
             )
@@ -700,10 +715,13 @@ def verify(
 ) -> _Plan:
     """Plan a run of the named suites up to size n_max: one claim per
     report, in SUITES order and then by size, which checks and reports
-    when called. Symmetry and phi/theta stop at their caps, and transport
-    sources at n_max - 2. Every range is checked here, before any claim
-    runs; n_max must be at least 1 and leave at least one claim to check.
-    The claims share one memo of R_n, so each R_n is built once.
+    when called. Each suite's top size comes from its record in
+    `_suites()`: an n! scan stops at min(n_max, its cap), so symmetry and
+    phi/theta stop at their caps, and a suite that reads R_{n+lift} at
+    n_max - lift, so transport sources at n_max - 2. Every range is
+    checked here, before any claim runs; n_max must be at least 1 and
+    leave at least one claim to check. The claims share one memo of R_n,
+    so each R_n is built once.
 
     The plan is a list of its claims. It numbers every task of the run
     once, in one queue: each symmetry and phi/theta claim whole, the
@@ -737,9 +755,8 @@ def verify(
         _check_count_range(n_max, max_n)
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
-    caps = {**_scan_caps(), "transport": n_max - 2}
-    sizes = {suite: range(1, min(n_max, caps.get(suite, n_max)) + 1) for suite in SUITES}
-    claims = [(suite, n) for suite in SUITES if suite in chosen for n in sizes[suite]]
+    top = {suite: min(n_max, s.cap) if s.scan else n_max - s.lift for suite, s in _suites().items()}
+    claims = [(suite, n) for suite in SUITES if suite in chosen for n in range(1, top[suite] + 1)]
     plan = _Plan(claims, workers, max_n)
     if not plan:
         raise ValueError(f"n_max={n_max} leaves no claim to check")

@@ -325,6 +325,25 @@ class TestVerifyCommand:
         assert "FAIL" in out
 
 
+    def test_verify_options(self):
+        # One flag per suite, in the library's order; only --count has help.
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        actions = [(a.option_strings, a.dest, a.help, a.default) for a in sub.choices["verify"]._actions]
+        assert actions == [
+            (["-h", "--help"], "help", "show this help message and exit", "==SUPPRESS=="),
+            (["--count"], "count", "exhaustive counts vs the closed form", False),
+            (["--characterization"], "characterization", None, False),
+            (["--symmetry"], "symmetry", None, False),
+            (["--phi-theta"], "phi_theta", None, False),
+            (["--transport"], "transport", None, False),
+            (["--all"], "all", "run every suite (default)", False),
+            (["--n-max"], "n_max", None, None),
+            (["--workers"], "workers", None, 1),
+            (["--max-n"], "max_n", None, enumeration.DEFAULT_MAX_COUNT_N),
+            (["--out"], "out", "JSON-lines report file (appended)", "verification.jsonl"),
+            (["--json"], "json", "emit JSON instead of text", False),
+        ]
+
     def test_suite_caps_come_from_the_library(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(enumeration, "SYMMETRY_MAX_N", 2)
         monkeypatch.setattr(enumeration, "PHI_THETA_MAX_N", 1)
@@ -506,6 +525,20 @@ class TestVerifyCommand:
         with pytest.raises(ChildProcessError):
             os.waitpid(forked[0], os.WNOHANG)
         assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, ())
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors")
+    def test_refused_fork_exits_2_with_one_line(self, capsys, tmp_path, monkeypatch):
+        # A fork refused under a process limit is reported as documented.
+        def fork():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        before = len(os.listdir("/proc/self/fd"))
+        argv = ["verify", "--count", "--n-max", "4", "--workers", "2"]
+        code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "r.jsonl"))
+        assert (code, out, err) == (2, "", "error: Resource temporarily unavailable\n")
+        assert len(os.listdir("/proc/self/fd")) == before
 
     def test_task_error_reaches_the_caller(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)

@@ -493,21 +493,32 @@ class TestPoolSize:
         ]
         assert serial_pool.events.count("start") == serial_pool.events.count("close") == 1
 
-    def test_queue_order_whole_claims_largest_group_first(self, serial_pool):
-        assert all(claim().passed for claim in verify(SUITES, 5, workers=2))
-        # phi/theta at n scans S_{n+2}; ties keep SUITES order
-        whole = [
-            ("_phi_theta_failure", 5), ("_phi_theta_failure", 4),
-            ("_relations_failure", 5), ("_phi_theta_failure", 3),
-            ("_relations_failure", 4), ("_phi_theta_failure", 2),
-            ("_relations_failure", 3), ("_phi_theta_failure", 1),
-            ("_relations_failure", 2), ("_relations_failure", 1),
+    @pytest.mark.parametrize("n_max", range(1, 10))
+    def test_queue_order_whole_claims_largest_group_first(self, monkeypatch, serial_pool, n_max):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        # Each n! claim whole, the largest group scanned first: phi/theta at
+        # n scans S_{n+2}, and ties keep SUITES order.
+        scans = {  # each n! suite's scan, cap and group size above n
+            "symmetry": ("_relations_failure", enumeration.SYMMETRY_MAX_N, 0),
+            "phi_theta": ("_phi_theta_failure", enumeration.PHI_THETA_MAX_N, 2),
+        }
+        claims = [
+            (suite, n) for suite in SUITES if suite in scans
+            for n in range(1, min(n_max, scans[suite][1]) + 1)
         ]
-        pairs = [
-            ("_reverse_stable", (n, a, b))
-            for n in range(2, 6) for a in range(1, n) for b in range(a + 1, n + 1)
-        ]
-        assert serial_pool.queued == whole + pairs
+        whole = sorted(claims, key=lambda claim: -claim[1] - scans[claim[0]][2])
+        tasks = {claim: range(i, i + 1) for i, claim in enumerate(whole)}
+        queued = [(scans[suite][0], n) for suite, n in whole]
+        # Then the pair tasks of R_1 to R_{n_max}, by size: count and
+        # characterization read each, and transport R_3 up to R_{n_max}.
+        for n in range(1, n_max + 1):
+            pairs = [("_reverse_stable", (n, a, b)) for a in range(1, n) for b in range(a + 1, n + 1)]
+            tasks[n] = range(len(queued), len(queued) + len(pairs))
+            queued += pairs
+        plan = verify(SUITES, n_max, workers=2)
+        assert plan.tasks == tasks
+        assert all(claim().passed for claim in plan)
+        assert serial_pool.queued == queued
 
     def test_interrupted_search_closes_the_plan_pool(self, monkeypatch, serial_pool):
         def interrupt(task):
